@@ -7,8 +7,8 @@
 // (BA attachment 1), so a trapped SingleRW reports zero triangles.
 //
 // Every replication drives a fresh cursor through StreamEngine with the
-// three motif sinks, so FS_BLOCK exercises the block-ingest fast path and
-// CI's fingerprint gate proves it bit-identical to per-event ingestion.
+// three motif sinks, so CI's fingerprint gate proves the block-ingest
+// path bit-identical for FS_BLOCK=1 (one event per block) and 4096.
 #include <array>
 #include <cstdint>
 #include <memory>

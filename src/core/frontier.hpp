@@ -5,7 +5,7 @@
 //   * samplers (sampling/): SingleRandomWalk, MultipleRandomWalks,
 //     FrontierSampler, DistributedFrontierSampler, MetropolisHastingsWalk,
 //     RandomVertexSampler, RandomEdgeSampler,
-//   * streaming (stream/): SamplerCursor one-step iteration, online
+//   * streaming (stream/): SamplerCursor block stepping, online
 //     EstimatorSinks, StreamEngine, checkpoint/resume,
 //   * estimators (estimators/): label densities, degree distributions,
 //     assortativity, global clustering,
@@ -44,7 +44,6 @@
 #include "sampling/random_vertex.hpp"
 #include "sampling/random_edge.hpp"
 #include "sampling/random_walk_with_jumps.hpp"
-#include "sampling/parallel_fs.hpp"
 #include "sampling/coverage.hpp"
 
 #include "stream/block.hpp"

@@ -35,16 +35,6 @@ const SampleRecord& FrontierSampler::run_into(SampleArena& arena,
 
 SampleRecord FrontierSampler::run_from(std::span<const VertexId> starts,
                                        Rng& rng) const {
-  if (starts.size() != config_.dimension) {
-    throw std::invalid_argument(
-        "FrontierSampler::run_from: |starts| must equal dimension");
-  }
-  for (VertexId v : starts) {
-    if (v >= graph_->num_vertices() || graph_->degree(v) == 0) {
-      throw std::invalid_argument(
-          "FrontierSampler::run_from: start vertex invalid or isolated");
-    }
-  }
   FrontierCursor cursor(*graph_, config_,
                         std::vector<VertexId>(starts.begin(), starts.end()),
                         rng);

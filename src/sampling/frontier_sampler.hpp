@@ -49,8 +49,9 @@ class FrontierSampler {
   const SampleRecord& run_into(SampleArena& arena, Rng& rng) const;
 
   /// Runs Algorithm 1 from the given initial walker list (|starts| must be
-  /// m and every start must have positive degree). Used by experiments that
-  /// share starting vertices between FS and MultipleRW (Figures 6 and 9).
+  /// m and every start must have positive degree, else
+  /// std::invalid_argument). Used by experiments that share starting
+  /// vertices between FS and MultipleRW (Figures 6 and 9).
   [[nodiscard]] SampleRecord run_from(std::span<const VertexId> starts,
                                       Rng& rng) const;
 

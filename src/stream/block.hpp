@@ -1,13 +1,13 @@
-// StreamEventBlock — the structure-of-arrays unit of the batched hot path.
+// StreamEventBlock — the structure-of-arrays unit of the sampling pipeline.
 //
-// One virtual SamplerCursor::next(StreamEvent&) call per sampled edge is
-// the dominant per-step overhead once the walk arithmetic itself is a few
-// nanoseconds. A block amortizes that dispatch: the cursor advances up to
-// capacity() steps in one next_batch() call, writing each step's
-// observation into parallel columns (edge endpoints u/v, the symmetric
-// degree of the edge target, the observed vertex, and a per-row flag
-// byte). Sinks then ingest whole columns (EstimatorSink::ingest_block)
-// and drain_cursor bulk-appends them into a SampleRecord.
+// A virtual call per sampled edge would be the dominant per-step overhead
+// once the walk arithmetic itself is a few nanoseconds. A block amortizes
+// that dispatch: the cursor advances up to capacity() steps in one
+// next_batch() call, writing each step's observation into parallel columns
+// (edge endpoints u/v, the symmetric degree of the edge target, the
+// observed vertex, and a per-row flag byte). Sinks then ingest whole
+// columns (EstimatorSink::ingest_block) and drain_cursor bulk-appends them
+// into a SampleRecord.
 //
 // Blocks are caller-owned and reusable: StreamEngine, drain_cursor and
 // the per-worker replication arenas each keep one block alive across
@@ -40,9 +40,10 @@ namespace frontier {
 
 class StreamEventBlock {
  public:
-  /// Row flag bits, mirroring StreamEvent::has_edge / has_vertex. A row
-  /// with no bit set is an empty step (burn-in, lazy stay, walker start
-  /// jump): budget was spent but nothing was observed.
+  /// Row flag bits: the row observed an edge (u, v, deg_v valid) and/or a
+  /// vertex (vertex valid). A row with no bit set is an empty step
+  /// (burn-in, lazy stay, walker start jump): budget was spent but nothing
+  /// was observed.
   static constexpr std::uint8_t kHasEdge = 1;
   static constexpr std::uint8_t kHasVertex = 2;
 

@@ -1,19 +1,21 @@
-// SamplerCursor — one-step-at-a-time sampling.
+// SamplerCursor — the sampling process as a resumable pull iterator.
 //
 // Batch samplers (sampling/) materialize their whole SampleRecord before
 // any estimator runs, so memory grows linearly with the budget B. A cursor
-// instead exposes the same process as a pull iterator: each next() call
-// performs exactly one budgeted query of the crawled graph and reports
-// what that query observed (an edge, a vertex, or nothing — e.g. a lazy
-// stay or a failed jump). This mirrors how the paper's crawlers actually
-// operate (Section 2: samples arrive one API query at a time) and is the
-// substrate for online estimator sinks (stream/sinks.hpp) and
-// checkpoint/resume (stream/checkpoint.hpp).
+// instead hands the same process out in blocks: each next_batch() call
+// performs up to K budgeted queries of the crawled graph and writes one
+// row per query recording what it observed (an edge, a vertex, or nothing
+// — e.g. a lazy stay or a failed jump). This mirrors how the paper's
+// crawlers actually operate (Section 2: samples arrive one API query at a
+// time) and is the substrate for online estimator sinks
+// (stream/sinks.hpp) and checkpoint/resume (stream/checkpoint.hpp).
 //
-// Contract: for every refactored sampler, draining a cursor reproduces the
-// batch run() byte-for-byte — identical RNG draw sequence, identical edge
-// and vertex sequences, identical starts and cost. The batch run() methods
-// are in fact thin loops over these cursors (see sampling/*.cpp).
+// Contract: the RNG draw sequence, the emitted rows, the starts and the
+// cost do not depend on how the queries are split into blocks; the batch
+// run() methods are thin drains over these cursors (see sampling/*.cpp),
+// so batch and streaming results are byte-identical by construction.
+// tests/test_stream_batch.cpp pins every cursor configuration to golden
+// CRC-64 digests for K in {1, 7, 64, 4096}.
 #pragma once
 
 #include <cstdint>
@@ -28,21 +30,6 @@
 
 namespace frontier {
 
-/// What one budgeted step observed. A step may record an edge (walk
-/// transition), a vertex (visit/jump landing), both (RWJ walk steps,
-/// accepted MH moves), or neither (burn-in, lazy stays).
-struct StreamEvent {
-  Edge edge{};
-  VertexId vertex = kInvalidVertex;
-  bool has_edge = false;
-  bool has_vertex = false;
-
-  void clear() noexcept {
-    has_edge = false;
-    has_vertex = false;
-  }
-};
-
 /// Identifies the concrete cursor type inside a checkpoint header.
 enum class CursorKind : std::uint32_t {
   kFrontier = 1,
@@ -52,7 +39,7 @@ enum class CursorKind : std::uint32_t {
   kMetropolis = 5,
 };
 
-/// Abstract one-step sampler. Concrete cursors live in
+/// Abstract block-stepping sampler. Concrete cursors live in
 /// stream/sampler_cursors.hpp; each owns its RNG by value so that
 /// (cursor state, sink states) is a complete, serializable description of
 /// an in-flight crawl.
@@ -60,25 +47,17 @@ class SamplerCursor {
  public:
   virtual ~SamplerCursor() = default;
 
-  /// Advances one budgeted step. Returns false once the budget is
-  /// exhausted (ev is left cleared); otherwise fills ev with whatever the
-  /// step observed (possibly nothing).
-  virtual bool next(StreamEvent& ev) = 0;
-
-  /// Batched stepping fast path: clears `block`, advances up to
-  /// min(max_steps, block.capacity()) budgeted steps, appending one row
-  /// per step, and returns the number of steps taken (0 iff exhausted or
-  /// max_steps == 0). The cursor state, RNG stream, emitted events and
-  /// cost after next_batch are byte-identical to the same number of
-  /// next() calls — batching amortizes dispatch, it never reorders draws
-  /// (tests/test_stream_batch.cpp asserts this for every cursor and
-  /// batch size). The base implementation loops next(); the concrete
-  /// cursors override it with branch-hoisted tight loops.
+  /// Clears `block`, advances up to min(max_steps, block.capacity())
+  /// budgeted queries, appending one row per query, and returns the number
+  /// taken (0 iff the cursor is exhausted or max_steps == 0). Every edge
+  /// row carries deg(v) in graph(). The cursor state, RNG stream, rows and
+  /// cost are independent of how a crawl is split into calls — batching
+  /// amortizes dispatch, it never reorders draws.
   virtual std::size_t next_batch(
       StreamEventBlock& block,
-      std::size_t max_steps = std::numeric_limits<std::size_t>::max());
+      std::size_t max_steps = std::numeric_limits<std::size_t>::max()) = 0;
 
-  /// True once next() has returned (or would return) false.
+  /// True once next_batch has returned (or would return) 0.
   [[nodiscard]] virtual bool done() const noexcept = 0;
 
   /// Budget consumed so far; after exhaustion this equals the batch

@@ -21,13 +21,6 @@ constexpr std::uint8_t kHasEdge = StreamEventBlock::kHasEdge;
 
 TriangleSink::TriangleSink(const Graph& g) : graph_(&g) {}
 
-void TriangleSink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  shared_sum_ += shared_neighbors(*graph_, ev.edge.u, ev.edge.v);
-  wedge_sum_ += graph_->degree(ev.edge.v) - 1;
-  ++n_;
-}
-
 void TriangleSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
@@ -97,11 +90,6 @@ void ClusteringSink::fold(VertexId u, VertexId v) {
   }
   count_[d] += 1;
   fsum_[d] += f;
-}
-
-void ClusteringSink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  fold(ev.edge.u, ev.edge.v);
 }
 
 void ClusteringSink::ingest_block(const StreamEventBlock& block) {
@@ -185,11 +173,6 @@ void MotifSink::fold(VertexId u, VertexId v, std::uint32_t deg_v) {
     cycles += shared_neighbors(g, x, v) - 1;  // u itself is always common
   }
   cycle8_ += cycles;
-}
-
-void MotifSink::consume(const StreamEvent& ev) {
-  if (!ev.has_edge) return;
-  fold(ev.edge.u, ev.edge.v, graph_->degree(ev.edge.v));
 }
 
 void MotifSink::ingest_block(const StreamEventBlock& block) {

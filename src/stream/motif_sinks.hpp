@@ -14,10 +14,11 @@
 // accumulators are integers and the final divisions are exact — which is
 // what tests/test_motif_sinks.cpp asserts.
 //
-// Bit-identity discipline matches sinks.hpp: ingest_block folds the same
-// arithmetic in the same order as consume(), state snapshots round-trip
-// through save_state/load_state, and results are invariant to FS_BLOCK
-// and FS_THREADS (enforced by ctest and the CI fingerprint gate).
+// Bit-identity discipline matches sinks.hpp: ingest_block folds rows in
+// order, so the state does not depend on how the rows are split into
+// blocks, state snapshots round-trip through save_state/load_state, and
+// results are invariant to FS_BLOCK and FS_THREADS (enforced by ctest and
+// the CI fingerprint gate).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,6 @@ class TriangleSink final : public EstimatorSink {
  public:
   explicit TriangleSink(const Graph& g);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -68,7 +68,6 @@ class ClusteringSink final : public EstimatorSink {
  public:
   explicit ClusteringSink(const Graph& g);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;
@@ -108,13 +107,12 @@ struct MotifEstimate {
 /// accumulates seven integer functionals of the codegree structure
 /// around the edge (see motif_sinks.cpp for the slot identities); the
 /// inclusion–exclusion to induced counts happens once, in estimate().
-/// The C4 term walks N(u)'s codegrees with v, so a consume costs
+/// The C4 term walks N(u)'s codegrees with v, so one edge row costs
 /// O(deg(u) · avg_deg) — the heaviest sink in the pipeline by design.
 class MotifSink final : public EstimatorSink {
  public:
   explicit MotifSink(const Graph& g);
 
-  void consume(const StreamEvent& ev) override;
   void ingest_block(const StreamEventBlock& block) override;
   [[nodiscard]] std::string_view name() const noexcept override;
   void save_state(std::ostream& os) const override;

@@ -1,5 +1,7 @@
 #include "stream/sampler_cursors.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "stream/serialize.hpp"
@@ -102,44 +104,6 @@ void FrontierCursor::init_selection() {
   }
 }
 
-bool FrontierCursor::next(StreamEvent& ev) {
-  ev.clear();
-  if (step_ == config_.steps) return false;
-  const Graph& g = *graph_;
-  if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
-    const std::size_t i = tree_.sample(rng_);  // line 4: walker ∝ degree
-    const VertexId u = frontier_[i];
-    const VertexId v = step_uniform_neighbor(g, u, rng_);  // line 5
-    ev.edge = Edge{u, v};                                  // line 6
-    ev.has_edge = true;
-    frontier_[i] = v;
-    tree_.set(i, static_cast<double>(g.degree(v)));
-  } else {
-    // Linear-scan selection: draw a threshold in [0, Σ deg) and walk the
-    // frontier until the cumulative degree passes it.
-    const std::size_t m = config_.dimension;
-    const double target = uniform01(rng_) * scan_total_;
-    double acc = 0.0;
-    std::size_t i = m - 1;
-    for (std::size_t k = 0; k < m; ++k) {
-      acc += static_cast<double>(g.degree(frontier_[k]));
-      if (target < acc) {
-        i = k;
-        break;
-      }
-    }
-    const VertexId u = frontier_[i];
-    const VertexId v = step_uniform_neighbor(g, u, rng_);
-    ev.edge = Edge{u, v};
-    ev.has_edge = true;
-    scan_total_ += static_cast<double>(g.degree(v)) -
-                   static_cast<double>(g.degree(u));
-    frontier_[i] = v;
-  }
-  ++step_;
-  return true;
-}
-
 std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
                                        std::size_t max_steps) {
   block.clear();
@@ -166,6 +130,8 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
       tree_.set(i, static_cast<double>(dv));
     }
   } else {
+    // Linear-scan selection: draw a threshold in [0, Σ deg) and walk the
+    // frontier until the cumulative degree passes it.
     const std::size_t m = config_.dimension;
     double scan_total = scan_total_;
     for (std::size_t step = 0; step < want; ++step) {
@@ -262,28 +228,6 @@ SingleRwCursor::SingleRwCursor(const Graph& g, SingleRandomWalk::Config config,
   }
   u_ = config_.fixed_start ? *config_.fixed_start : start_sampler.sample(rng_);
   starts_.push_back(u_);
-}
-
-bool SingleRwCursor::next(StreamEvent& ev) {
-  ev.clear();
-  const bool burning = burn_done_ < config_.burn_in;
-  if (!burning && step_ == config_.steps) return false;
-  if (config_.laziness > 0.0 && bernoulli(rng_, config_.laziness)) {
-    // lazy stay: budget spent, no sample
-  } else {
-    const VertexId v = step_uniform_neighbor(*graph_, u_, rng_);
-    if (!burning) {
-      ev.edge = Edge{u_, v};
-      ev.has_edge = true;
-    }
-    u_ = v;
-  }
-  if (burning) {
-    ++burn_done_;
-  } else {
-    ++step_;
-  }
-  return true;
 }
 
 std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
@@ -408,28 +352,6 @@ MultipleRwCursor::MultipleRwCursor(const Graph& g,
   starts_.reserve(config_.num_walkers);
 }
 
-bool MultipleRwCursor::next(StreamEvent& ev) {
-  ev.clear();
-  if (walker_ == config_.num_walkers) return false;
-  if (starts_.size() == walker_) {
-    // Current walker not yet placed: this query is its start jump.
-    u_ = start_sampler_->sample(rng_);
-    starts_.push_back(u_);
-    if (config_.steps_per_walker == 0) ++walker_;
-    return true;
-  }
-  const VertexId v = step_uniform_neighbor(*graph_, u_, rng_);
-  ev.edge = Edge{u_, v};
-  ev.has_edge = true;
-  u_ = v;
-  ++step_;
-  if (step_ == config_.steps_per_walker) {
-    ++walker_;
-    step_ = 0;
-  }
-  return true;
-}
-
 std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
                                          std::size_t max_steps) {
   block.clear();
@@ -505,13 +427,18 @@ void MultipleRwCursor::load_state(std::istream& is) {
   walker_ = read_pod<std::uint64_t>(is);
   step_ = read_pod<std::uint64_t>(is);
   read_rng(is, rng_);
-  if (walker_ > config_.num_walkers || starts_.size() > config_.num_walkers) {
+  // Walkers run back to back: every finished walker has a start, and the
+  // current one has one too once placed, with step_ < steps_per_walker.
+  // An unplaced walker, as after the last one finishes, is at step 0.
+  const bool placed = starts_.size() == walker_ + 1;
+  if (walker_ > config_.num_walkers ||
+      starts_.size() > config_.num_walkers ||
+      (!placed && starts_.size() != walker_) ||
+      (placed ? step_ >= config_.steps_per_walker : step_ != 0)) {
     throw IoError("MultipleRwCursor: corrupt checkpoint (counters)");
   }
-  if (starts_.size() > walker_) {
-    // Current walker is placed; u_ is dereferenced on the next step.
-    check_position(*graph_, u_, "walker");
-  }
+  // A placed walker's u_ is dereferenced on the next step.
+  if (placed) check_position(*graph_, u_, "walker");
 }
 
 // --------------------------------------------------------------------- RWJ
@@ -565,40 +492,6 @@ bool RwjCursor::pay_jump() {
     return false;
   }
   cost_ += streak;
-  return true;
-}
-
-bool RwjCursor::next(StreamEvent& ev) {
-  ev.clear();
-  if (pending_vertex_) {
-    ev.vertex = *pending_vertex_;
-    ev.has_vertex = true;
-    pending_vertex_.reset();
-    return true;
-  }
-  if (done_) return false;
-  if (config_.jump_probability > 0.0 &&
-      bernoulli(rng_, config_.jump_probability)) {
-    if (!pay_jump()) {
-      done_ = true;
-      return false;
-    }
-    v_ = start_sampler_->sample(rng_);
-    ev.vertex = v_;
-    ev.has_vertex = true;
-    return true;
-  }
-  if (cost_ + 1.0 > config_.budget) {
-    done_ = true;
-    return false;
-  }
-  cost_ += 1.0;
-  const VertexId w = step_uniform_neighbor(*graph_, v_, rng_);
-  ev.edge = Edge{v_, w};
-  ev.has_edge = true;
-  ev.vertex = w;
-  ev.has_vertex = true;
-  v_ = w;
   return true;
 }
 
@@ -666,6 +559,12 @@ void RwjCursor::load_state(std::istream& is) {
   done_ = read_pod<std::uint8_t>(is) != 0;
   read_rng(is, rng_);
   if (!done_) check_position(*graph_, v_, "walker");
+  // A NaN cost never exceeds the budget, so the crawl would never end. A
+  // real cost lies in [0, budget], or equals a negative budget (empty run).
+  if (!std::isfinite(cost_) || cost_ < std::min(0.0, config_.budget) ||
+      cost_ > config_.budget) {
+    throw IoError("RwjCursor: corrupt checkpoint (cost)");
+  }
   if (pending_vertex_ && *pending_vertex_ >= graph_->num_vertices()) {
     throw IoError("RwjCursor: corrupt checkpoint (pending vertex)");
   }
@@ -692,30 +591,6 @@ MetropolisCursor::MetropolisCursor(const Graph& g,
   v_ = config_.fixed_start ? *config_.fixed_start : start_sampler.sample(rng_);
   starts_.push_back(v_);
   pending_vertex_ = v_;
-}
-
-bool MetropolisCursor::next(StreamEvent& ev) {
-  ev.clear();
-  if (pending_vertex_) {
-    ev.vertex = *pending_vertex_;
-    ev.has_vertex = true;
-    pending_vertex_.reset();
-    return true;
-  }
-  if (step_ == config_.steps) return false;
-  const Graph& g = *graph_;
-  const VertexId w = step_uniform_neighbor(g, v_, rng_);
-  const double accept = static_cast<double>(g.degree(v_)) /
-                        static_cast<double>(g.degree(w));
-  if (accept >= 1.0 || uniform01(rng_) < accept) {
-    ev.edge = Edge{v_, w};
-    ev.has_edge = true;
-    v_ = w;
-  }
-  ev.vertex = v_;
-  ev.has_vertex = true;
-  ++step_;
-  return true;
 }
 
 std::size_t MetropolisCursor::next_batch(StreamEventBlock& block,

@@ -23,7 +23,7 @@
 
 namespace frontier {
 
-/// Algorithm 1, one step per next(): select a walker ∝ degree, advance it
+/// Algorithm 1, one row per query: select a walker ∝ degree, advance it
 /// across a uniform edge, emit that edge.
 class FrontierCursor final : public SamplerCursor {
  public:
@@ -43,7 +43,6 @@ class FrontierCursor final : public SamplerCursor {
   FrontierCursor(const Graph& g, FrontierSampler::Config config,
                  std::vector<VertexId> frontier, Rng rng);
 
-  bool next(StreamEvent& ev) override;
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override {
@@ -95,7 +94,6 @@ class SingleRwCursor final : public SamplerCursor {
   SingleRwCursor(const Graph& g, SingleRandomWalk::Config config, Rng rng,
                  const StartSampler& start_sampler);
 
-  bool next(StreamEvent& ev) override;
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override {
@@ -139,7 +137,6 @@ class MultipleRwCursor final : public SamplerCursor {
   MultipleRwCursor(const Graph& g, MultipleRandomWalks::Config config, Rng rng,
                    const StartSampler& start_sampler);
 
-  bool next(StreamEvent& ev) override;
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override {
@@ -188,7 +185,6 @@ class RwjCursor final : public SamplerCursor {
   RwjCursor(const Graph& g, RandomWalkWithJumps::Config config, Rng rng,
             const StartSampler& start_sampler);
 
-  bool next(StreamEvent& ev) override;
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override { return done_; }
@@ -224,8 +220,8 @@ class RwjCursor final : public SamplerCursor {
 
 /// Metropolis–Hastings walk: every step emits the (possibly unchanged)
 /// current vertex; accepted proposals additionally emit the transition
-/// edge. The start vertex is emitted by the first next() call, matching
-/// the batch record's steps+1 vertex entries.
+/// edge. The start vertex is emitted as the first row, matching the batch
+/// record's steps+1 vertex entries.
 class MetropolisCursor final : public SamplerCursor {
  public:
   MetropolisCursor(const Graph& g, MetropolisHastingsWalk::Config config,
@@ -235,7 +231,6 @@ class MetropolisCursor final : public SamplerCursor {
   MetropolisCursor(const Graph& g, MetropolisHastingsWalk::Config config,
                    Rng rng, const StartSampler& start_sampler);
 
-  bool next(StreamEvent& ev) override;
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override {

@@ -1,13 +1,13 @@
-// Batched stepping equivalence: for every cursor, next_batch() must be a
-// pure speedup — the emitted event sequence, the degree column, the final
-// RNG state, the cost, and every sink's serialized state are bit-identical
-// for any batch size K (including K=1), and a checkpoint taken mid-block
-// resumes into the same final state as an uninterrupted serial run.
+// Batched stepping contract: for every cursor, the emitted event sequence,
+// the degree column, the starts, the cost and the final RNG state do not
+// depend on the block size K (including K=1) and match golden digests; every
+// sink's serialized state is independent of K; and a checkpoint taken
+// mid-block resumes into the same final state as an uninterrupted K=1 run.
 #include "stream/block.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <bit>
 #include <cstddef>
 #include <memory>
 #include <sstream>
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checksum.hpp"
 #include "graph/generators.hpp"
 #include "sampling/frontier_sampler.hpp"
 #include "sampling/metropolis.hpp"
@@ -43,26 +44,7 @@ struct EventRec {
   bool has_vertex = false;
   Edge edge{};
   VertexId vertex = kInvalidVertex;
-
-  friend bool operator==(const EventRec&, const EventRec&) = default;
 };
-
-std::vector<EventRec> collect_serial(SamplerCursor& cursor) {
-  std::vector<EventRec> out;
-  StreamEvent ev;
-  while (cursor.next(ev)) {
-    // Copy only the flagged fields: StreamEvent::clear() resets the
-    // flags but leaves the payload stale, and only flagged payload is
-    // part of the contract.
-    EventRec rec;
-    rec.has_edge = ev.has_edge;
-    rec.has_vertex = ev.has_vertex;
-    if (ev.has_edge) rec.edge = ev.edge;
-    if (ev.has_vertex) rec.vertex = ev.vertex;
-    out.push_back(rec);
-  }
-  return out;
-}
 
 /// Drains via next_batch with block capacity K, also asserting the degree
 /// column invariant on every edge row.
@@ -90,29 +72,51 @@ std::vector<EventRec> collect_batched(SamplerCursor& cursor, std::size_t k) {
   return out;
 }
 
-/// Asserts serial next() and next_batch(K) agree for every K, in events,
-/// starts, cost and final RNG position.
-template <typename MakeCursor>
-void check_batch_equivalence(MakeCursor make_cursor) {
-  auto serial = make_cursor();
-  const std::vector<EventRec> expected = collect_serial(*serial);
-  ASSERT_FALSE(expected.empty());
-  for (const std::size_t k : kBatchSizes) {
-    auto batched = make_cursor();
-    const std::vector<EventRec> got = collect_batched(*batched, k);
-    ASSERT_EQ(got.size(), expected.size()) << "K=" << k;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], expected[i]) << "K=" << k << " event " << i;
+/// CRC-64 over a canonical little-endian encoding of a drained cursor:
+/// per row a flag byte plus its flagged payload (u and v for an edge, the
+/// vertex for a vertex), then the starts, the bit pattern of the cost and
+/// the final RNG state. Only flagged payload is part of the contract.
+std::uint64_t digest_of(const std::vector<EventRec>& events,
+                        const SamplerCursor& cursor) {
+  std::string bytes;
+  const auto put = [&bytes](std::uint64_t x, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>((x >> (8 * i)) & 0xff));
     }
-    EXPECT_EQ(batched->starts(), serial->starts()) << "K=" << k;
-    EXPECT_EQ(batched->cost(), serial->cost()) << "K=" << k;  // bitwise
-    EXPECT_TRUE(batched->rng() == serial->rng()) << "K=" << k;
+  };
+  for (const EventRec& rec : events) {
+    put((rec.has_edge ? 1u : 0u) | (rec.has_vertex ? 2u : 0u), 1);
+    if (rec.has_edge) {
+      put(rec.edge.u, 4);
+      put(rec.edge.v, 4);
+    }
+    if (rec.has_vertex) put(rec.vertex, 4);
+  }
+  put(cursor.starts().size(), 8);
+  for (const VertexId s : cursor.starts()) put(s, 4);
+  put(std::bit_cast<std::uint64_t>(cursor.cost()), 8);
+  for (const std::uint64_t word : cursor.rng().state()) put(word, 8);
+  return crc64(bytes.data(), bytes.size());
+}
+
+/// Asserts next_batch(K) reproduces the golden event count and digest for
+/// every K. The digests were recorded from the per-event reference stepper
+/// that next_batch replaced, so they pin the sampling process itself, not
+/// just agreement between block sizes.
+template <typename MakeCursor>
+void check_golden(std::size_t events, std::uint64_t digest,
+                  MakeCursor make_cursor) {
+  for (const std::size_t k : kBatchSizes) {
+    auto cursor = make_cursor();
+    const std::vector<EventRec> got = collect_batched(*cursor, k);
+    EXPECT_EQ(got.size(), events) << "K=" << k;
+    EXPECT_EQ(digest_of(got, *cursor), digest) << "K=" << k;
   }
 }
 
 TEST(StreamBatch, FrontierWeightedTreeAllBatchSizes) {
   const Graph g = test_graph();
-  check_batch_equivalence([&] {
+  check_golden(3000, 0x601ade299e5f7c5cULL, [&] {
     return std::make_unique<FrontierCursor>(
         g, FrontierSampler::Config{.dimension = 8, .steps = 3000}, Rng(7));
   });
@@ -120,7 +124,7 @@ TEST(StreamBatch, FrontierWeightedTreeAllBatchSizes) {
 
 TEST(StreamBatch, FrontierLinearScanAllBatchSizes) {
   const Graph g = test_graph();
-  check_batch_equivalence([&] {
+  check_golden(3000, 0x2ab53f9bc0bd4d0cULL, [&] {
     return std::make_unique<FrontierCursor>(
         g,
         FrontierSampler::Config{
@@ -132,7 +136,7 @@ TEST(StreamBatch, FrontierLinearScanAllBatchSizes) {
 
 TEST(StreamBatch, SingleRwWithBurnInAndLazinessAllBatchSizes) {
   const Graph g = test_graph();
-  check_batch_equivalence([&] {
+  check_golden(2637, 0x9d15a4e4af645e1fULL, [&] {
     return std::make_unique<SingleRwCursor>(
         g,
         SingleRandomWalk::Config{
@@ -143,7 +147,7 @@ TEST(StreamBatch, SingleRwWithBurnInAndLazinessAllBatchSizes) {
 
 TEST(StreamBatch, SingleRwPlainAllBatchSizes) {
   const Graph g = test_graph();
-  check_batch_equivalence([&] {
+  check_golden(2500, 0xab427d6f50767c56ULL, [&] {
     return std::make_unique<SingleRwCursor>(
         g, SingleRandomWalk::Config{.steps = 2500}, Rng(10));
   });
@@ -151,7 +155,7 @@ TEST(StreamBatch, SingleRwPlainAllBatchSizes) {
 
 TEST(StreamBatch, MultipleRwAllBatchSizes) {
   const Graph g = test_graph();
-  check_batch_equivalence([&] {
+  check_golden(1116, 0xfb960784f78a2aefULL, [&] {
     return std::make_unique<MultipleRwCursor>(
         g,
         MultipleRandomWalks::Config{.num_walkers = 9,
@@ -162,7 +166,7 @@ TEST(StreamBatch, MultipleRwAllBatchSizes) {
 
 TEST(StreamBatch, RwjAllBatchSizes) {
   const Graph g = test_graph();
-  check_batch_equivalence([&] {
+  check_golden(1325, 0x4727440e8f0376e8ULL, [&] {
     return std::make_unique<RwjCursor>(
         g,
         RandomWalkWithJumps::Config{
@@ -175,7 +179,7 @@ TEST(StreamBatch, RwjAllBatchSizes) {
 
 TEST(StreamBatch, MetropolisAllBatchSizes) {
   const Graph g = test_graph();
-  check_batch_equivalence([&] {
+  check_golden(3001, 0x99f58129c172d844ULL, [&] {
     return std::make_unique<MetropolisCursor>(
         g, MetropolisHastingsWalk::Config{.steps = 3000}, Rng(13));
   });
@@ -209,25 +213,18 @@ SinkSet make_sinks(const Graph& g) {
   return sinks;
 }
 
-/// ingest_block must accumulate bit-identically to per-event consume()
-/// for every sink type, on blocks containing edge, vertex, mixed and
-/// empty rows (the MH + RWJ cursors produce all four).
-TEST(StreamBatch, SinkBlockIngestMatchesConsume) {
+/// Every sink's serialized state must not depend on the block size, on
+/// blocks containing edge, vertex, mixed and empty rows (the MH + RWJ
+/// cursors produce all four).
+TEST(StreamBatch, SinkStateIndependentOfBlockSize) {
   const Graph g = test_graph();
-  const auto drive = [&](bool use_blocks, auto make_cursor) {
+  const auto drive = [&](std::size_t k, auto make_cursor) {
     SinkSet sinks = make_sinks(g);
-    auto cursor_owner = make_cursor();
-    SamplerCursor& cursor = *cursor_owner;
-    if (use_blocks) {
-      StreamEventBlock block(64);
-      while (cursor.next_batch(block) > 0) {
-        for (const auto& sink : sinks) sink->ingest_block(block);
-      }
-    } else {
-      StreamEvent ev;
-      while (cursor.next(ev)) {
-        for (const auto& sink : sinks) sink->consume(ev);
-      }
+    auto owner = make_cursor();
+    SamplerCursor& cursor = *owner;
+    StreamEventBlock block(k);
+    while (cursor.next_batch(block) > 0) {
+      for (const auto& sink : sinks) sink->ingest_block(block);
     }
     return sink_state(sinks);
   };
@@ -246,9 +243,14 @@ TEST(StreamBatch, SinkBlockIngestMatchesConsume) {
     return std::make_unique<FrontierCursor>(
         g, FrontierSampler::Config{.dimension = 16, .steps = 4000}, Rng(23));
   };
-  EXPECT_EQ(drive(true, mh), drive(false, mh));
-  EXPECT_EQ(drive(true, rwj), drive(false, rwj));
-  EXPECT_EQ(drive(true, fs), drive(false, fs));
+  const std::string mh_state = drive(1, mh);
+  const std::string rwj_state = drive(1, rwj);
+  const std::string fs_state = drive(1, fs);
+  for (const std::size_t k : {64u, 4096u}) {
+    EXPECT_EQ(drive(k, mh), mh_state) << "K=" << k;
+    EXPECT_EQ(drive(k, rwj), rwj_state) << "K=" << k;
+    EXPECT_EQ(drive(k, fs), fs_state) << "K=" << k;
+  }
 }
 
 // ------------------------------------------------- checkpoint mid-block

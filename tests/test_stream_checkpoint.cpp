@@ -8,6 +8,8 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include "stream/engine.hpp"
 #include "stream/motif_sinks.hpp"
 #include "stream/sampler_cursors.hpp"
+#include "stream/serialize.hpp"
 #include "stream/sinks.hpp"
 
 namespace frontier {
@@ -252,6 +255,85 @@ TEST(StreamCheckpoint, RejectsConfigMismatch) {
   StreamEngine b(std::make_unique<FrontierCursor>(g, other, Rng(6)),
                  make_sinks(g));
   EXPECT_THROW(b.load_checkpoint(ckpt), IoError);
+}
+
+// Splices crafted counters into a real MultipleRwCursor save_state blob,
+// keeping its configuration prefix (num_walkers, steps_per_walker,
+// jump_cost, start mode: 25 bytes) and its trailing 32-byte RNG state.
+std::string patch_multiple_rw(const std::string& blob,
+                              const std::vector<VertexId>& starts, VertexId u,
+                              std::uint64_t walker, std::uint64_t step) {
+  std::ostringstream os;
+  os << blob.substr(0, 25);
+  streamio::write_vector(os, starts);
+  streamio::write_pod(os, u);
+  streamio::write_pod(os, walker);
+  streamio::write_pod(os, step);
+  os << blob.substr(blob.size() - 32);
+  return os.str();
+}
+
+TEST(StreamCheckpoint, RejectsInconsistentMultipleRwCounters) {
+  const Graph g = test_graph();
+  const MultipleRandomWalks::Config cfg{.num_walkers = 4,
+                                        .steps_per_walker = 10};
+  // 15 queries: walker 0's start and 10 steps, then walker 1's start and
+  // 3 steps, so the real counters are walker_ = 1, step_ = 3.
+  MultipleRwCursor paused(g, cfg, Rng(9));
+  StreamEventBlock block(15);
+  ASSERT_EQ(paused.next_batch(block, 15), 15u);
+  std::ostringstream os;
+  paused.save_state(os);
+  const std::string blob = os.str();
+  VertexId u = 0;
+  std::memcpy(&u, blob.data() + blob.size() - 52, sizeof(u));
+  ASSERT_EQ(patch_multiple_rw(blob, paused.starts(), u, 1, 3), blob);
+
+  struct Case {
+    const char* what;
+    std::vector<VertexId> starts;
+    VertexId u;
+    std::uint64_t walker;
+    std::uint64_t step;
+  };
+  const Case cases[] = {
+      {"walkers finished without starts", {}, 1000000, 2, 0},
+      {"step past steps_per_walker", {5}, 5, 0, 11},
+      {"step equal to steps_per_walker", {5}, 5, 0, 10},
+      {"two walkers placed at once", {5, 6, 7}, 5, 0, 0},
+      {"finished with missing starts", {5}, 5, 4, 0},
+      {"unplaced walker with steps", {5}, 5, 1, 3},
+  };
+  for (const Case& c : cases) {
+    std::istringstream is(
+        patch_multiple_rw(blob, c.starts, c.u, c.walker, c.step));
+    MultipleRwCursor fresh(g, cfg, Rng(1));
+    EXPECT_THROW(fresh.load_state(is), IoError) << c.what;
+  }
+}
+
+TEST(StreamCheckpoint, RejectsCorruptRwjCost) {
+  const Graph g = test_graph();
+  const RandomWalkWithJumps::Config cfg{.budget = 100.0,
+                                        .jump_probability = 0.1};
+  RwjCursor cursor(g, cfg, Rng(9));
+  StreamEventBlock block(20);
+  (void)cursor.next_batch(block, 20);
+  ASSERT_FALSE(cursor.done());
+  std::ostringstream os;
+  cursor.save_state(os);
+  const std::string blob = os.str();
+  // cost_ sits before the done flag (1 byte) and the RNG state (32 bytes).
+  const std::size_t cost_at = blob.size() - 41;
+  for (const double cost : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), -1.0,
+                            cfg.budget + 1.0}) {
+    std::string patched = blob;
+    std::memcpy(patched.data() + cost_at, &cost, sizeof(cost));
+    std::istringstream is(patched);
+    RwjCursor fresh(g, cfg, Rng(1));
+    EXPECT_THROW(fresh.load_state(is), IoError) << "cost " << cost;
+  }
 }
 
 TEST(StreamCheckpoint, RejectsSinkMismatch) {

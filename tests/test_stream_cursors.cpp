@@ -1,10 +1,12 @@
-// Streaming/batch equivalence: for every refactored sampler, driving the
-// cursor and the batch run() from the same seed must produce identical
-// edge sequences, vertex sequences, starts, costs, and final RNG states.
+// Streaming/batch equivalence: for every sampler, stepping the cursor one
+// query at a time and the batch run() from the same seed must produce
+// identical edge sequences, vertex sequences, starts, costs, and final RNG
+// states.
 #include "stream/sampler_cursors.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -15,23 +17,34 @@
 #include "sampling/multiple_rw.hpp"
 #include "sampling/random_walk_with_jumps.hpp"
 #include "sampling/single_rw.hpp"
+#include "stream/block.hpp"
 #include "stream/cursor.hpp"
 
 namespace frontier {
 namespace {
 
-// Manually drains a cursor event by event (without drain_cursor) so the
-// test exercises the public next() contract directly.
+// Manually drains a cursor one query at a time through a K=1 block
+// (without drain_cursor), so the test exercises the public next_batch()
+// contract directly.
 SampleRecord collect(SamplerCursor& cursor) {
   SampleRecord rec;
-  StreamEvent ev;
-  while (cursor.next(ev)) {
-    if (ev.has_edge) rec.edges.push_back(ev.edge);
-    if (ev.has_vertex) rec.vertices.push_back(ev.vertex);
+  StreamEventBlock block(1);
+  while (cursor.next_batch(block) > 0) {
+    EXPECT_EQ(block.size(), 1u);
+    const std::uint8_t f = block.flags()[0];
+    if (f & StreamEventBlock::kHasEdge) {
+      rec.edges.push_back(Edge{block.u()[0], block.v()[0]});
+    }
+    if (f & StreamEventBlock::kHasVertex) {
+      rec.vertices.push_back(block.vertex()[0]);
+    }
   }
   EXPECT_TRUE(cursor.done());
-  // A finished cursor keeps returning false without disturbing anything.
-  EXPECT_FALSE(cursor.next(ev));
+  // A finished cursor keeps returning 0 without disturbing anything.
+  const Rng before = cursor.rng();
+  EXPECT_EQ(cursor.next_batch(block), 0u);
+  EXPECT_TRUE(block.empty());
+  EXPECT_TRUE(cursor.rng() == before);
   rec.starts = cursor.starts();
   rec.cost = cursor.cost();
   return rec;
@@ -230,10 +243,10 @@ TEST(StreamCursors, CostIsMonotoneDuringIteration) {
   const Graph g = test_graph();
   const FrontierSampler fs(g, {.dimension = 3, .steps = 50});
   FrontierCursor cursor(g, fs.config(), Rng(22));
-  StreamEvent ev;
+  StreamEventBlock block(1);
   double prev = cursor.cost();
   EXPECT_DOUBLE_EQ(prev, 3.0);  // m starts already paid
-  while (cursor.next(ev)) {
+  while (cursor.next_batch(block, 1) > 0) {
     EXPECT_GT(cursor.cost(), prev);
     prev = cursor.cost();
   }

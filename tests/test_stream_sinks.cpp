@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "estimators/degree_distribution.hpp"
 #include "estimators/density.hpp"
@@ -14,6 +16,7 @@
 #include "sampling/frontier_sampler.hpp"
 #include "sampling/metropolis.hpp"
 #include "sampling/single_rw.hpp"
+#include "stream/block.hpp"
 #include "stream/engine.hpp"
 #include "stream/sampler_cursors.hpp"
 
@@ -25,26 +28,25 @@ Graph test_graph() {
   return barabasi_albert(300, 3, rng);
 }
 
-// Streams the batch record's events straight into a sink, so sink output
-// can be compared against the batch estimator over the identical sequence.
-void feed_edges(EstimatorSink& sink, const SampleRecord& rec) {
-  StreamEvent ev;
-  for (const Edge& e : rec.edges) {
-    ev.clear();
-    ev.edge = e;
-    ev.has_edge = true;
-    sink.consume(ev);
+// Streams a batch record's observations straight into a sink through
+// blocks, so sink output can be compared against the batch estimator over
+// the identical sequence. Edge rows carry deg(v) in g, as a cursor's do.
+void feed(EstimatorSink& sink, const Graph& g, std::span<const Edge> edges,
+          std::span<const VertexId> vertices = {}) {
+  StreamEventBlock block(256);
+  const auto flush = [&] {
+    sink.ingest_block(block);
+    block.clear();
+  };
+  for (const Edge& e : edges) {
+    if (block.room() == 0) flush();
+    block.push_edge(e.u, e.v, g.degree(e.v));
   }
-}
-
-void feed_vertices(EstimatorSink& sink, const SampleRecord& rec) {
-  StreamEvent ev;
-  for (VertexId v : rec.vertices) {
-    ev.clear();
-    ev.vertex = v;
-    ev.has_vertex = true;
-    sink.consume(ev);
+  for (const VertexId v : vertices) {
+    if (block.room() == 0) flush();
+    block.push_vertex(v);
   }
+  flush();
 }
 
 SampleRecord fs_record(const Graph& g, std::uint64_t seed,
@@ -58,7 +60,7 @@ TEST(StreamSinks, DegreeDistributionMatchesBatch) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 5, 20000);
   DegreeDistributionSink sink(g, DegreeKind::kSymmetric);
-  feed_edges(sink, rec);
+  feed(sink, g, rec.edges);
   const auto batch = estimate_degree_distribution(g, rec.edges,
                                                   DegreeKind::kSymmetric);
   const auto streamed = sink.distribution();
@@ -76,7 +78,7 @@ TEST(StreamSinks, DegreeDistributionInDegreeKind) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 6, 10000);
   DegreeDistributionSink sink(g, DegreeKind::kIn);
-  feed_edges(sink, rec);
+  feed(sink, g, rec.edges);
   EXPECT_EQ(estimate_degree_distribution(g, rec.edges, DegreeKind::kIn),
             sink.distribution());
 }
@@ -86,7 +88,7 @@ TEST(StreamSinks, VertexDensityMatchesBatch) {
   const SampleRecord rec = fs_record(g, 7, 15000);
   const auto pred = [&g](VertexId v) { return g.degree(v) > 5; };
   VertexDensitySink sink(g, pred);
-  feed_edges(sink, rec);
+  feed(sink, g, rec.edges);
   EXPECT_EQ(estimate_vertex_label_density(g, rec.edges, pred), sink.value());
 }
 
@@ -96,7 +98,7 @@ TEST(StreamSinks, EdgeDensityMatchesBatch) {
   const auto labeled = [](const Edge& e) { return e.u % 2 == 0; };
   const auto has_label = [](const Edge& e) { return e.v % 3 == 0; };
   EdgeDensitySink sink(labeled, has_label);
-  feed_edges(sink, rec);
+  feed(sink, g, rec.edges);
   EXPECT_EQ(estimate_edge_label_density(rec.edges, labeled, has_label),
             sink.value());
 }
@@ -105,7 +107,7 @@ TEST(StreamSinks, AssortativityMatchesBatch) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 9, 15000);
   AssortativitySink sink(g);
-  feed_edges(sink, rec);
+  feed(sink, g, rec.edges);
   EXPECT_EQ(estimate_assortativity(g, rec.edges), sink.value());
 }
 
@@ -113,7 +115,7 @@ TEST(StreamSinks, GraphMomentsMatchBatch) {
   const Graph g = test_graph();
   const SampleRecord rec = fs_record(g, 10, 15000);
   GraphMomentsSink sink(g, 3);
-  feed_edges(sink, rec);
+  feed(sink, g, rec.edges);
   EXPECT_EQ(estimate_average_degree(g, rec.edges), sink.average_degree());
   EXPECT_EQ(estimate_degree_moment(g, rec.edges, 1), sink.degree_moment(1));
   EXPECT_EQ(estimate_degree_moment(g, rec.edges, 2), sink.degree_moment(2));
@@ -129,7 +131,7 @@ TEST(StreamSinks, UniformDegreeMatchesBatchOnMhVisits) {
   Rng rng(11);
   const SampleRecord rec = mh.run(rng);
   UniformDegreeSink sink(g);
-  feed_vertices(sink, rec);
+  feed(sink, g, {}, rec.vertices);
   EXPECT_EQ(estimate_average_degree_uniform(g, rec.vertices), sink.value());
   EXPECT_EQ(sink.vertices_consumed(), rec.vertices.size());
 }
@@ -149,10 +151,7 @@ TEST(StreamSinks, EmptyStreamsGiveZeroEstimates) {
 TEST(StreamSinks, EdgeSinksIgnoreVertexOnlyEvents) {
   const Graph g = test_graph();
   GraphMomentsSink sink(g);
-  StreamEvent ev;
-  ev.vertex = 0;
-  ev.has_vertex = true;
-  sink.consume(ev);
+  feed(sink, g, {}, std::vector<VertexId>{0, 1, 2});
   EXPECT_EQ(sink.edges_consumed(), 0u);
 }
 
