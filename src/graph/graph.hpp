@@ -91,24 +91,49 @@ class Graph {
     return neighbors_[offsets_[v] + k];
   }
 
-  /// Hints the cache to load v's adjacency range. The batched FS cursor
-  /// calls this for the vertex a walker just moved to: that walker will
-  /// not be stepped again for ~m steps, which is exactly the latency
-  /// window a prefetch needs, so when the walker is next selected its
-  /// neighbor list is already cached instead of costing a serial
-  /// main-memory access — the dominant cost of a walk step on large
-  /// graphs. No-op on compilers without the builtin.
+  // Software-prefetch hints. Each asks the cache for the lines a later
+  // lookup of v will touch, so a loop can overlap many of those misses
+  // instead of paying them one after another; none changes any value.
+  // prefetch_line() below is the one place the compiler builtin appears
+  // (frontier_lint's prefetch-in-graph rule keeps it that way).
+
+  /// v's adjacency range. The batched FS cursor calls this for the vertex
+  /// a walker just moved to: that walker will not be stepped again for ~m
+  /// steps, which is exactly the latency window a prefetch needs, so when
+  /// the walker is next selected its neighbor list is already cached
+  /// instead of costing a serial main-memory access — the dominant cost
+  /// of a walk step on large graphs. Reads v's offsets, so it stalls
+  /// unless prefetch_offsets(v) ran a while earlier.
   void prefetch_neighbors(VertexId v) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
     const std::uint64_t b = offsets_[v];
     const std::uint64_t e = offsets_[v + 1];
     if (b == e) return;
-    const VertexId* p = neighbors_.data();
-    __builtin_prefetch(p + b, 0, 1);
-    __builtin_prefetch(p + e - 1, 0, 1);
-#else
-    (void)v;
-#endif
+    prefetch_line(neighbors_.data() + b);
+    prefetch_line(neighbors_.data() + e - 1);
+  }
+
+  /// The direction flags parallel to v's adjacency range; reads v's
+  /// offsets like prefetch_neighbors.
+  void prefetch_directions(VertexId v) const noexcept {
+    const std::uint64_t b = offsets_[v];
+    const std::uint64_t e = offsets_[v + 1];
+    if (b == e) return;
+    prefetch_line(directions_.data() + b);
+    prefetch_line(directions_.data() + e - 1);
+  }
+
+  /// v's two CSR offsets, the first link of every adjacency lookup.
+  void prefetch_offsets(VertexId v) const noexcept {
+    prefetch_line(offsets_.data() + v);
+    prefetch_line(offsets_.data() + v + 1);
+  }
+
+  /// out_degree(v) and in_degree(v) respectively.
+  void prefetch_out_degree(VertexId v) const noexcept {
+    prefetch_line(out_degree_.data() + v);
+  }
+  void prefetch_in_degree(VertexId v) const noexcept {
+    prefetch_line(in_degree_.data() + v);
   }
 
   /// True iff (u,v) is in the symmetric edge set E. O(log deg(u)).
@@ -181,6 +206,18 @@ class Graph {
   std::span<const std::uint32_t> out_degree_;
   std::span<const std::uint32_t> in_degree_;
   std::uint64_t num_directed_edges_ = 0;
+
+  /// Read prefetch of the line holding p, low temporal locality. No-op
+  /// on compilers without the builtin. Always inlined: GCC judges a
+  /// function whose only effect is a prefetch to be const, so a call to
+  /// an out-of-line copy could be deleted as dead code.
+  [[gnu::always_inline]] static void prefetch_line(const void* p) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(p, 0, 1);
+#else
+    (void)p;
+#endif
+  }
 };
 
 }  // namespace frontier

@@ -3,6 +3,8 @@
 #include <stdexcept>
 
 #include "core/env.hpp"
+#include "graph/graph.hpp"
+#include "graph/metrics.hpp"
 
 namespace frontier {
 
@@ -23,6 +25,31 @@ StreamEventBlock::StreamEventBlock(std::size_t capacity) : cap_(capacity) {
   deg_v_.resize(cap_);
   vertex_.resize(cap_);
   flags_.resize(cap_);
+}
+
+std::span<const std::uint32_t> StreamEventBlock::codegree(
+    const Graph& g) const {
+  if (codegree_graph_ != &g || codegree_rows_ != size_) {
+    if (codegree_.empty()) codegree_.resize(cap_);
+    // Non-edge rows keep 0; edge rows are all overwritten below.
+    std::fill_n(codegree_.begin(), size_, 0u);
+    for_each_edge_row_prefetched(
+        *this,
+        [&](std::size_t j) {
+          g.prefetch_offsets(u_[j]);
+          g.prefetch_offsets(v_[j]);
+        },
+        [&](std::size_t j) {
+          g.prefetch_neighbors(u_[j]);
+          g.prefetch_neighbors(v_[j]);
+        },
+        [&](std::size_t i) {
+          codegree_[i] = shared_neighbors(g, u_[i], v_[i]);
+        });
+    codegree_graph_ = &g;
+    codegree_rows_ = size_;
+  }
+  return {codegree_.data(), size_};
 }
 
 }  // namespace frontier

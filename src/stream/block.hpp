@@ -19,8 +19,17 @@
 // reweighting sink needs that value anyway (the 1/deg importance weight
 // of eq. 7), and the cursor usually has it at hand (FS updates its
 // Fenwick tree with it), so the block computes it once for all sinks.
+//
+// The codegree column f(u, v) = |N(u) ∩ N(v)| is the same idea one step
+// further: the triangle and clustering sinks both need it per edge row,
+// and each value is a chain of cache misses on a large graph. It is not
+// written by cursors (batch replication would pay for it) but computed
+// on the first codegree() call of a fill, behind a software-prefetch
+// pipeline (for_each_edge_row_prefetched), and shared by every later
+// reader of that fill.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -29,6 +38,8 @@
 #include "core/types.hpp"
 
 namespace frontier {
+
+class Graph;
 
 /// Process-wide default block capacity: the FS_BLOCK environment knob
 /// (strictly parsed, like the FS_* knobs in experiments/config.hpp),
@@ -47,13 +58,22 @@ class StreamEventBlock {
   static constexpr std::uint8_t kHasEdge = 1;
   static constexpr std::uint8_t kHasVertex = 2;
 
+  /// How many rows ahead a prefetch pipeline requests a row's lines
+  /// (see for_each_edge_row_prefetched). Enough rows to cover a
+  /// main-memory latency with a few hundred ns of fold work in flight,
+  /// few enough that the lines are still cached when the row is folded.
+  static constexpr std::size_t kPrefetchDistance = 8;
+
   explicit StreamEventBlock(std::size_t capacity = default_block_capacity());
 
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t room() const noexcept { return cap_ - size_; }
-  void clear() noexcept { size_ = 0; }
+  void clear() noexcept {
+    size_ = 0;
+    codegree_graph_ = nullptr;
+  }
 
   // Writer API (cursors). Precondition: size() < capacity(). Rows not
   // carrying an edge (resp. vertex) leave those columns stale; readers
@@ -96,6 +116,14 @@ class StreamEventBlock {
     return {flags_.data(), size_};
   }
 
+  /// Codegree column: shared_neighbors(g, u, v) on every edge row, 0 on
+  /// every other row. A memo of the current fill: computed on the first
+  /// call, returned as is by later calls for the same graph and row
+  /// count, reset by clear(). Its storage is allocated on the first call,
+  /// so blocks whose readers never ask pay nothing. Like the rest of the
+  /// block, it is read by one thread at a time.
+  [[nodiscard]] std::span<const std::uint32_t> codegree(const Graph& g) const;
+
  private:
   std::vector<VertexId> u_;
   std::vector<VertexId> v_;
@@ -104,6 +132,45 @@ class StreamEventBlock {
   std::vector<std::uint8_t> flags_;
   std::size_t size_ = 0;
   std::size_t cap_;
+  // codegree() memo: valid for the first codegree_rows_ rows when
+  // computed against *codegree_graph_; clear() nulls the graph.
+  mutable std::vector<std::uint32_t> codegree_;
+  mutable const Graph* codegree_graph_ = nullptr;
+  mutable std::size_t codegree_rows_ = 0;
 };
+
+/// Visits the edge rows of `block` in order through a two-stage software
+/// prefetch pipeline, for folds whose per-row cost is a chain of
+/// dependent cache misses (CSR offsets, then the adjacency row they
+/// locate). far(j) runs for edge row j = i + 2D and should prefetch the
+/// first links of the chain; near(j) runs for edge row j = i + D, when
+/// those lines have arrived, and should prefetch the lines they point
+/// to; fold(i) then finds row i's lines cached. D is
+/// StreamEventBlock::kPrefetchDistance. far() also runs up front for the
+/// first 2D rows, so short blocks are covered too. Prefetches change no
+/// value, so the folds see exactly the rows a plain loop would.
+///
+/// Flattened (the stages are inlined into the loop) because GCC judges
+/// a function whose only effect is a prefetch to be const, and deletes
+/// a call to it whose result is unused: left as calls, the stages would
+/// compile to nothing.
+template <typename Far, typename Near, typename Fold>
+[[gnu::flatten]] void for_each_edge_row_prefetched(
+    const StreamEventBlock& block, Far&& far, Near&& near, Fold&& fold) {
+  constexpr std::size_t kD = StreamEventBlock::kPrefetchDistance;
+  const std::size_t n = block.size();
+  const std::uint8_t* flags = block.flags().data();
+  const auto edge = [flags](std::size_t j) {
+    return (flags[j] & StreamEventBlock::kHasEdge) != 0;
+  };
+  for (std::size_t j = 0; j < std::min(n, 2 * kD); ++j) {
+    if (edge(j)) far(j);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 2 * kD < n && edge(i + 2 * kD)) far(i + 2 * kD);
+    if (i + kD < n && edge(i + kD)) near(i + kD);
+    if (edge(i)) fold(i);
+  }
+}
 
 }  // namespace frontier

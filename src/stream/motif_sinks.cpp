@@ -24,13 +24,11 @@ TriangleSink::TriangleSink(const Graph& g) : graph_(&g) {}
 void TriangleSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
-  const VertexId* u = block.u().data();
-  const VertexId* v = block.v().data();
+  const std::uint32_t* f = block.codegree(*graph_).data();
   const std::uint32_t* deg = block.deg_v().data();
-  const Graph& g = *graph_;
   for (std::size_t i = 0; i < sz; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
-    shared_sum_ += shared_neighbors(g, u[i], v[i]);
+    shared_sum_ += f[i];
     wedge_sum_ += deg[i] - 1;
     ++n_;
   }
@@ -74,14 +72,13 @@ void TriangleSink::load_state(std::istream& is) {
 
 ClusteringSink::ClusteringSink(const Graph& g) : graph_(&g) {}
 
-void ClusteringSink::fold(VertexId u, VertexId v) {
+void ClusteringSink::fold(VertexId u, std::uint32_t f) {
   ++n_;
   const std::uint32_t d = graph_->degree(u);
   if (d < 2) return;
   // Same arithmetic, same order as estimate_global_clustering.
   const double deg = static_cast<double>(d);
   s_ += 1.0 / deg;
-  const std::uint32_t f = shared_neighbors(*graph_, u, v);
   const double pairs = deg * (deg - 1.0) / 2.0;
   num_ += static_cast<double>(f) / (2.0 * pairs);
   if (d >= count_.size()) {
@@ -96,10 +93,10 @@ void ClusteringSink::ingest_block(const StreamEventBlock& block) {
   const std::size_t sz = block.size();
   const std::uint8_t* flags = block.flags().data();
   const VertexId* u = block.u().data();
-  const VertexId* v = block.v().data();
+  const std::uint32_t* f = block.codegree(*graph_).data();
   for (std::size_t i = 0; i < sz; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
-    fold(u[i], v[i]);
+    fold(u[i], f[i]);
   }
 }
 

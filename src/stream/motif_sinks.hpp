@@ -8,7 +8,9 @@
 // (1/B) Σ h(u_i, v_i) → (1/2|E|) Σ_slots h. Each sink accumulates exact
 // integer sums of such functionals built from the codegree
 // f(u,v) = |N(u) ∩ N(v)| (computed by sorted-adjacency merge against the
-// full graph, Section 4.2.4 style); scaling by vol(G)/B turns them into
+// full graph, Section 4.2.4 style; the triangle and clustering sinks
+// share one computation per edge row through the block's codegree
+// column); scaling by vol(G)/B turns them into
 // motif-count estimates. Fed a full enumeration of all 2|E| slots, the
 // estimates equal the exact analysis/motifs.hpp counts *exactly* — the
 // accumulators are integers and the final divisions are exact — which is
@@ -80,7 +82,8 @@ class ClusteringSink final : public EstimatorSink {
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
 
  private:
-  void fold(VertexId u, VertexId v);
+  /// Folds one edge row with source u and codegree f(u, v).
+  void fold(VertexId u, std::uint32_t f);
 
   const Graph* graph_;
   double s_ = 0.0;    // Σ 1/deg(u) over deg(u) >= 2

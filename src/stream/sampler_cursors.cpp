@@ -32,6 +32,22 @@ void check_position(const Graph& g, VertexId v, const char* what) {
   }
 }
 
+// Starts are reported, never stepped from, but a restored cursor must
+// still describe a crawl of this graph: the start count its process
+// implies (`count_ok`, judged by each cursor) and every start a vertex
+// of the graph.
+void check_starts(const Graph& g, const std::vector<VertexId>& starts,
+                  bool count_ok, const char* what) {
+  if (!count_ok) {
+    throw IoError(std::string(what) + ": corrupt checkpoint (starts size)");
+  }
+  for (const VertexId s : starts) {
+    if (s >= g.num_vertices()) {
+      throw IoError(std::string(what) + ": corrupt checkpoint (start)");
+    }
+  }
+}
+
 void write_optional_vertex(std::ostream& os,
                            const std::optional<VertexId>& v) {
   write_pod<std::uint8_t>(os, v.has_value() ? 1 : 0);
@@ -196,6 +212,8 @@ void FrontierCursor::load_state(std::istream& is) {
   if (frontier_.size() != config_.dimension || step_ > config_.steps) {
     throw IoError("FrontierCursor: corrupt checkpoint (frontier size)");
   }
+  check_starts(*graph_, starts_, starts_.size() == config_.dimension,
+               "FrontierCursor");
   for (VertexId v : frontier_) check_position(*graph_, v, "frontier");
   // The Fenwick tree is a pure function of the frontier degrees (integer
   // weights, so the rebuild is bit-exact); the scan total is restored
@@ -318,6 +336,7 @@ void SingleRwCursor::load_state(std::istream& is) {
   if (burn_done_ > config_.burn_in || step_ > config_.steps) {
     throw IoError("SingleRwCursor: corrupt checkpoint (counters)");
   }
+  check_starts(*graph_, starts_, starts_.size() == 1, "SingleRwCursor");
 }
 
 // -------------------------------------------------------------- MultipleRW
@@ -437,6 +456,8 @@ void MultipleRwCursor::load_state(std::istream& is) {
       (placed ? step_ >= config_.steps_per_walker : step_ != 0)) {
     throw IoError("MultipleRwCursor: corrupt checkpoint (counters)");
   }
+  // The start count was checked with the counters above.
+  check_starts(*graph_, starts_, /*count_ok=*/true, "MultipleRwCursor");
   // A placed walker's u_ is dereferenced on the next step.
   if (placed) check_position(*graph_, u_, "walker");
 }
@@ -568,6 +589,8 @@ void RwjCursor::load_state(std::istream& is) {
   if (pending_vertex_ && *pending_vertex_ >= graph_->num_vertices()) {
     throw IoError("RwjCursor: corrupt checkpoint (pending vertex)");
   }
+  // One start, or none when the budget could not pay the first jump.
+  check_starts(*graph_, starts_, starts_.size() <= 1, "RwjCursor");
 }
 
 // -------------------------------------------------------------- Metropolis
@@ -666,6 +689,7 @@ void MetropolisCursor::load_state(std::istream& is) {
       (pending_vertex_ && *pending_vertex_ >= graph_->num_vertices())) {
     throw IoError("MetropolisCursor: corrupt checkpoint (counters)");
   }
+  check_starts(*graph_, starts_, starts_.size() == 1, "MetropolisCursor");
 }
 
 }  // namespace frontier

@@ -183,17 +183,28 @@ void EdgeDensitySink::load_state(std::istream& is) {
 AssortativitySink::AssortativitySink(const Graph& g) : graph_(&g) {}
 
 void AssortativitySink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
   const VertexId* u = block.u().data();
   const VertexId* v = block.v().data();
   const Graph& g = *graph_;
-  for (std::size_t i = 0; i < sz; ++i) {
-    if (!(flags[i] & kHasEdge)) continue;
-    if (!g.has_directed_edge(u[i], v[i])) continue;  // unlabeled: skip
-    acc_.add(static_cast<double>(g.out_degree(u[i])),
-             static_cast<double>(g.in_degree(v[i])));
-  }
+  // Each row reads u's offsets, then u's adjacency row and direction
+  // flags (the directed-edge test), then out_degree[u] and in_degree[v]:
+  // independent misses per row, overlapped across rows by the pipeline.
+  for_each_edge_row_prefetched(
+      block,
+      [&](std::size_t j) {
+        g.prefetch_offsets(u[j]);
+        g.prefetch_out_degree(u[j]);
+        g.prefetch_in_degree(v[j]);
+      },
+      [&](std::size_t j) {
+        g.prefetch_neighbors(u[j]);
+        g.prefetch_directions(u[j]);
+      },
+      [&](std::size_t i) {
+        if (!g.has_directed_edge(u[i], v[i])) return;  // unlabeled: skip
+        acc_.add(static_cast<double>(g.out_degree(u[i])),
+                 static_cast<double>(g.in_degree(v[i])));
+      });
 }
 
 std::string_view AssortativitySink::name() const noexcept {

@@ -6,7 +6,8 @@
 namespace fixture {
 
 // Error strings mentioning "rand() is banned" or time(0) must not match:
-// string literal contents are scrubbed before token matching.
+// string literal contents are scrubbed before token matching. Nor does
+// prose naming __builtin_prefetch(p) outside src/graph/graph.hpp.
 const char* policy_message() {
   return "rand() is banned; so is time(0) and std::cout in library code";
 }

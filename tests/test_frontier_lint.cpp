@@ -177,6 +177,34 @@ TEST(DurableRule, HelperItselfAndWaiversAndOtherTreesPass) {
 }
 
 // ---------------------------------------------------------------------------
+// prefetch-in-graph
+
+TEST(PrefetchRule, FlagsTheBuiltinOutsideGraphHeaderInEveryTree) {
+  for (const char* path : {"src/stream/block.cpp", "src/graph/graph.cpp",
+                           "tests/t.cpp", "bench/bench_x.cpp",
+                           "tools/x.cpp", "examples/e.cpp"}) {
+    const auto diags = check(path,
+                             "bench_common::BenchSession s(argc, argv);\n"
+                             "__builtin_prefetch(p, 0, 1);\n");
+    ASSERT_EQ(diags.size(), 1u) << path;
+    EXPECT_EQ(diags[0].rule, "prefetch-in-graph") << path;
+    EXPECT_EQ(diags[0].line, 2u) << path;
+  }
+}
+
+TEST(PrefetchRule, GraphHeaderProseAndHelpersPass) {
+  EXPECT_TRUE(check("src/graph/graph.hpp",
+                    "#pragma once\n__builtin_prefetch(p, 0, 1);\n")
+                  .empty());
+  // Prose and literals are scrubbed; the helpers are other identifiers.
+  EXPECT_TRUE(check("src/stream/block.cpp",
+                    "// __builtin_prefetch(p) lives in graph.hpp\n"
+                    "const char* s = \"__builtin_prefetch(p)\";\n"
+                    "g.prefetch_neighbors(v);\n")
+                  .empty());
+}
+
+// ---------------------------------------------------------------------------
 // pragma-once and bench-session
 
 TEST(PragmaOnce, MissingGuardFlagsLineOne) {
@@ -205,7 +233,7 @@ TEST(LintTree, PassTreeIsClean) {
   const lint::LintResult r =
       lint::lint_tree(std::string(LINT_FIXTURE_DIR) + "/pass_tree");
   EXPECT_TRUE(r.unreadable.empty());
-  EXPECT_EQ(r.files_checked, 3u);
+  EXPECT_EQ(r.files_checked, 4u);
   for (const auto& d : r.diagnostics) ADD_FAILURE() << lint::format(d);
 }
 
@@ -213,19 +241,23 @@ TEST(LintTree, FailTreeTripsEveryRuleWithFileAndLine) {
   const lint::LintResult r =
       lint::lint_tree(std::string(LINT_FIXTURE_DIR) + "/fail_tree");
   EXPECT_TRUE(r.unreadable.empty());
-  EXPECT_EQ(r.files_checked, 6u);
+  EXPECT_EQ(r.files_checked, 7u);
   for (const char* rule :
        {"determinism-no-wall-clock", "no-stdout-in-library", "pragma-once",
         "bench-session", "suppression-rationale",
-        "durable-file-replacement"}) {
+        "durable-file-replacement", "prefetch-in-graph"}) {
     EXPECT_TRUE(has_rule(r.diagnostics, rule)) << "rule not tripped: " << rule;
   }
   // Exact anchors: the fixtures pin their violations to known lines.
   bool saw_rand = false;
+  bool saw_prefetch = false;
   for (const auto& d : r.diagnostics) {
     EXPECT_GT(d.line, 0u);
     EXPECT_NE(d.file.find('/'), std::string::npos) << d.file;
     if (d.file == "src/bad_clock.cpp" && d.line == 15) saw_rand = true;
+    if (d.file == "src/bad_prefetch.cpp" && d.line == 11) {
+      saw_prefetch = d.rule == "prefetch-in-graph";
+    }
     const std::string line = lint::format(d);
     // file:line: [rule] message — editor-clickable.
     EXPECT_NE(line.find(d.file + ":" + std::to_string(d.line) + ": ["),
@@ -233,6 +265,7 @@ TEST(LintTree, FailTreeTripsEveryRuleWithFileAndLine) {
         << line;
   }
   EXPECT_TRUE(saw_rand) << "std::rand on bad_clock.cpp:15 not anchored";
+  EXPECT_TRUE(saw_prefetch) << "prefetch on bad_prefetch.cpp:11 not anchored";
 }
 
 // ---------------------------------------------------------------------------

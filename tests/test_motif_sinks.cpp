@@ -2,7 +2,7 @@
 // slot of the symmetric graph once (a "full enumeration", scale factor
 // vol/B = 1), the integer-accumulator sinks must reproduce the exact
 // analysis/motifs.hpp counts *exactly*, and the folded state must not
-// depend on the block capacity.
+// depend on the block capacity or on which sinks share a block.
 #include "stream/motif_sinks.hpp"
 
 #include <gtest/gtest.h>
@@ -59,15 +59,16 @@ std::vector<Edge> all_slots(const Graph& g) {
   return slots;
 }
 
-// Feeds all slots as edge rows, in slot order, `k` rows per block. When
-// `mixed` is set, slot i becomes a vertex-only row if i % 13 == 5 and an
-// empty row if i % 17 == 11.
-void feed_slots(const Graph& g, EstimatorSink& sink, std::size_t k = 4096,
-                bool mixed = false) {
+// Feeds all slots as edge rows, in slot order, `k` rows per block, each
+// block to every sink of `sinks` in turn. When `mixed` is set, slot i
+// becomes a vertex-only row if i % 13 == 5 and an empty row if
+// i % 17 == 11.
+void feed_slots(const Graph& g, const std::vector<EstimatorSink*>& sinks,
+                std::size_t k, bool mixed) {
   const std::vector<Edge> slots = all_slots(g);
   StreamEventBlock block(k);
   const auto flush = [&] {
-    sink.ingest_block(block);
+    for (EstimatorSink* sink : sinks) sink->ingest_block(block);
     block.clear();
   };
   for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -81,6 +82,11 @@ void feed_slots(const Graph& g, EstimatorSink& sink, std::size_t k = 4096,
     }
   }
   flush();
+}
+
+void feed_slots(const Graph& g, EstimatorSink& sink, std::size_t k = 4096,
+                bool mixed = false) {
+  feed_slots(g, std::vector<EstimatorSink*>{&sink}, k, mixed);
 }
 
 TEST(MotifSinks, TriangleSinkFullEnumerationIsExact) {
@@ -161,6 +167,37 @@ TEST(MotifSinks, BlockIngestIndependentOfBlockSize) {
   check([&] { return std::make_unique<TriangleSink>(g); }, "triangles");
   check([&] { return std::make_unique<ClusteringSink>(g); }, "clustering");
   check([&] { return std::make_unique<MotifSink>(g); }, "motif_census");
+}
+
+// TriangleSink and ClusteringSink read the block's shared codegree
+// column, computed by whichever sink asks first. Which sink that is,
+// and whether a block is shared at all, must not change any state.
+TEST(MotifSinks, StateIndependentOfSinkOrder) {
+  Rng rng(4343);
+  const Graph g = barabasi_albert(200, 3, rng);
+  for (const std::size_t k : {std::size_t{7}, std::size_t{4096}}) {
+    TriangleSink tri(g);
+    ClusteringSink clus(g);
+    MotifSink motif(g);
+    feed_slots(g, {&tri, &clus, &motif}, k, /*mixed=*/true);
+    TriangleSink tri_rev(g);
+    ClusteringSink clus_rev(g);
+    MotifSink motif_rev(g);
+    feed_slots(g, {&motif_rev, &clus_rev, &tri_rev}, k, /*mixed=*/true);
+    TriangleSink tri_alone(g);
+    ClusteringSink clus_alone(g);
+    MotifSink motif_alone(g);
+    feed_slots(g, tri_alone, k, /*mixed=*/true);
+    feed_slots(g, clus_alone, k, /*mixed=*/true);
+    feed_slots(g, motif_alone, k, /*mixed=*/true);
+    EXPECT_GT(tri.transitivity(), 0.0);
+    EXPECT_EQ(state_of(tri_rev), state_of(tri)) << "K=" << k;
+    EXPECT_EQ(state_of(tri_alone), state_of(tri)) << "K=" << k;
+    EXPECT_EQ(state_of(clus_rev), state_of(clus)) << "K=" << k;
+    EXPECT_EQ(state_of(clus_alone), state_of(clus)) << "K=" << k;
+    EXPECT_EQ(state_of(motif_rev), state_of(motif)) << "K=" << k;
+    EXPECT_EQ(state_of(motif_alone), state_of(motif)) << "K=" << k;
+  }
 }
 
 TEST(MotifSinks, StateRoundtripRestoresAccumulators) {

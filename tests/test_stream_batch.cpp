@@ -1,8 +1,9 @@
 // Batched stepping contract: for every cursor, the emitted event sequence,
 // the degree column, the starts, the cost and the final RNG state do not
 // depend on the block size K (including K=1) and match golden digests; every
-// sink's serialized state is independent of K; and a checkpoint taken
-// mid-block resumes into the same final state as an uninterrupted K=1 run.
+// sink's serialized state is independent of K; the block's codegree column
+// holds f(u, v) of the current fill; and a checkpoint taken mid-block
+// resumes into the same final state as an uninterrupted K=1 run.
 #include "stream/block.hpp"
 
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/motifs.hpp"
 #include "core/checksum.hpp"
 #include "graph/generators.hpp"
+#include "graph/metrics.hpp"
 #include "sampling/frontier_sampler.hpp"
 #include "sampling/metropolis.hpp"
 #include "sampling/multiple_rw.hpp"
@@ -246,7 +249,9 @@ TEST(StreamBatch, SinkStateIndependentOfBlockSize) {
   const std::string mh_state = drive(1, mh);
   const std::string rwj_state = drive(1, rwj);
   const std::string fs_state = drive(1, fs);
-  for (const std::size_t k : {64u, 4096u}) {
+  // K=7 is shorter than the prefetch pipelines' 2D lookahead, so every
+  // block runs only their prologue and tail.
+  for (const std::size_t k : {7u, 64u, 4096u}) {
     EXPECT_EQ(drive(k, mh), mh_state) << "K=" << k;
     EXPECT_EQ(drive(k, rwj), rwj_state) << "K=" << k;
     EXPECT_EQ(drive(k, fs), fs_state) << "K=" << k;
@@ -334,6 +339,94 @@ TEST(StreamBatch, CheckpointMidBlockAllCursors) {
             g, MetropolisHastingsWalk::Config{.steps = 2000}, Rng(35));
       },
       999);
+}
+
+// ------------------------------------------------------- codegree column
+
+/// Checks codegree(g) against shared_neighbors on every row of the
+/// current fill: f(u, v) on edge rows, 0 on vertex-only and empty rows.
+void expect_codegree_column(const Graph& g, const StreamEventBlock& block) {
+  const std::span<const std::uint32_t> f = block.codegree(g);
+  ASSERT_EQ(f.size(), block.size());
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    if (block.flags()[i] & StreamEventBlock::kHasEdge) {
+      EXPECT_EQ(f[i], shared_neighbors(g, block.u()[i], block.v()[i]))
+          << "edge row " << i;
+    } else {
+      EXPECT_EQ(f[i], 0u) << "non-edge row " << i;
+    }
+  }
+}
+
+struct ColumnTally {
+  std::uint64_t codegree_sum = 0;
+  std::size_t non_edge_rows = 0;
+};
+
+/// Drains `cursor` in blocks of capacity k, checking the column of every
+/// fill, and tallies what the checks covered.
+ColumnTally drain_checking_codegree(const Graph& g, SamplerCursor& cursor,
+                                    std::size_t k) {
+  ColumnTally tally;
+  StreamEventBlock block(k);
+  while (cursor.next_batch(block) > 0) {
+    expect_codegree_column(g, block);
+    for (const std::uint32_t f : block.codegree(g)) tally.codegree_sum += f;
+    for (const std::uint8_t flags : block.flags()) {
+      if (!(flags & StreamEventBlock::kHasEdge)) ++tally.non_edge_rows;
+    }
+  }
+  return tally;
+}
+
+TEST(StreamBatch, CodegreeColumnMatchesSharedNeighbors) {
+  const Graph g = test_graph();
+  ASSERT_GT(exact_triangle_count(g), 0u);
+  for (const std::size_t k : kBatchSizes) {
+    FrontierCursor fs(g, FrontierSampler::Config{.dimension = 8, .steps = 3000},
+                      Rng(31));
+    EXPECT_GT(drain_checking_codegree(g, fs, k).codegree_sum, 0u)
+        << "K=" << k;
+    // MH emits vertex-only rows (rejections); SRW burn-in emits empty
+    // rows. Both must read 0 in the column.
+    MetropolisCursor mh(g, MetropolisHastingsWalk::Config{.steps = 2000},
+                        Rng(32));
+    EXPECT_GT(drain_checking_codegree(g, mh, k).non_edge_rows, 0u)
+        << "K=" << k;
+    SingleRwCursor srw(
+        g,
+        SingleRandomWalk::Config{
+            .steps = 500, .burn_in = 300, .laziness = 0.3},
+        Rng(33));
+    EXPECT_GT(drain_checking_codegree(g, srw, k).non_edge_rows, 0u)
+        << "K=" << k;
+  }
+}
+
+TEST(StreamBatch, CodegreeColumnFollowsTheFill) {
+  const Graph g = test_graph();
+  FrontierCursor fs(g, FrontierSampler::Config{.dimension = 8, .steps = 3000},
+                    Rng(34));
+  SamplerCursor& cursor = fs;
+  StreamEventBlock block(64);
+  ASSERT_EQ(cursor.next_batch(block), 64u);
+  expect_codegree_column(g, block);
+  // A refill of the same size must not return the previous fill's
+  // values: clear() drops the memo.
+  ASSERT_EQ(cursor.next_batch(block), 64u);
+  expect_codegree_column(g, block);
+  // Rows appended after a call are covered by the next call.
+  block.clear();
+  block.push_edge(0, 1, g.degree(1));
+  expect_codegree_column(g, block);
+  block.push_edge(1, 2, g.degree(2));
+  block.push_vertex(3);
+  expect_codegree_column(g, block);
+  // Another graph gets its own values, not the memo of the first.
+  Rng rng(35);
+  const Graph other = barabasi_albert(g.num_vertices(), 5, rng);
+  expect_codegree_column(other, block);
+  expect_codegree_column(g, block);
 }
 
 // --------------------------------------------------------------- drains

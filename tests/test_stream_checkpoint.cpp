@@ -312,6 +312,83 @@ TEST(StreamCheckpoint, RejectsInconsistentMultipleRwCounters) {
   }
 }
 
+// Replaces the starts vector of a real save_state blob: `count` is the
+// blob's own start count and `tail` the bytes that follow the vector.
+std::string patch_starts(const std::string& blob, std::size_t count,
+                         std::size_t tail,
+                         const std::vector<VertexId>& starts) {
+  const std::size_t end = blob.size() - tail;
+  const std::size_t begin = end - 8 - count * sizeof(VertexId);
+  std::ostringstream os;
+  os << blob.substr(0, begin);
+  streamio::write_vector(os, starts);
+  os << blob.substr(end);
+  return os.str();
+}
+
+// A restored cursor's starts must be as many as its process places (m
+// for FS, one for SRW and MH, at most one for RWJ) and each a vertex of
+// the graph.
+TEST(StreamCheckpoint, RejectsCorruptStarts) {
+  const Graph g = test_graph();
+  const auto n = static_cast<VertexId>(g.num_vertices());
+  // Saves `cursor` after 5 steps and checks that every crafted starts
+  // vector is rejected by a fresh cursor, and the real one accepted.
+  const auto check = [&](const char* label, SamplerCursor& paused,
+                         auto make_fresh,
+                         std::size_t tail,
+                         const std::vector<std::vector<VertexId>>& bad) {
+    StreamEventBlock block(5);
+    ASSERT_EQ(paused.next_batch(block), 5u);
+    std::ostringstream os;
+    paused.save_state(os);
+    const std::string blob = os.str();
+    const std::vector<VertexId> real = paused.starts();
+    ASSERT_EQ(patch_starts(blob, real.size(), tail, real), blob);
+    for (const std::vector<VertexId>& starts : bad) {
+      std::istringstream is(patch_starts(blob, real.size(), tail, starts));
+      auto fresh = make_fresh();
+      EXPECT_THROW(fresh->load_state(is), IoError)
+          << label << " accepted " << starts.size() << " starts";
+    }
+    std::istringstream is(blob);
+    auto fresh = make_fresh();
+    EXPECT_NO_THROW(fresh->load_state(is)) << label;
+  };
+
+  const FrontierSampler::Config fs_cfg{.dimension = 3, .steps = 100};
+  FrontierCursor fs(g, fs_cfg, Rng(1));
+  // FS: scan_total and the RNG state follow the starts.
+  check(
+      "fs", fs,
+      [&] { return std::make_unique<FrontierCursor>(g, fs_cfg, Rng(2)); },
+      8 + 32,
+      {{}, {1, 2}, {1, 2, 3, 4}, {1, 2, n}, {0xffffffffu, 1, 2}});
+
+  const SingleRandomWalk::Config srw_cfg{.steps = 100};
+  SingleRwCursor srw(g, srw_cfg, Rng(3));
+  check(
+      "srw", srw,
+      [&] { return std::make_unique<SingleRwCursor>(g, srw_cfg, Rng(4)); },
+      32, {{}, {1, 2}, {n}});
+
+  const MetropolisHastingsWalk::Config mh_cfg{.steps = 100};
+  MetropolisCursor mh(g, mh_cfg, Rng(5));
+  check(
+      "mh", mh,
+      [&] { return std::make_unique<MetropolisCursor>(g, mh_cfg, Rng(6)); },
+      32, {{}, {1, 2}, {n}});
+
+  // RWJ: v, the pending vertex, the cost, done and the RNG state follow.
+  const RandomWalkWithJumps::Config rwj_cfg{.budget = 100.0,
+                                            .jump_probability = 0.2};
+  RwjCursor rwj(g, rwj_cfg, Rng(7));
+  check(
+      "rwj", rwj,
+      [&] { return std::make_unique<RwjCursor>(g, rwj_cfg, Rng(8)); },
+      4 + 5 + 8 + 1 + 32, {{1, 2}, {n}});
+}
+
 TEST(StreamCheckpoint, RejectsCorruptRwjCost) {
   const Graph g = test_graph();
   const RandomWalkWithJumps::Config cfg{.budget = 100.0,

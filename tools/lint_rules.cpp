@@ -93,6 +93,17 @@ constexpr ForbiddenToken kDurableTokens[] = {
      "waive genuinely create-only/append streams with a rationale"},
 };
 
+// --- prefetch-in-graph ---------------------------------------------------
+// Software prefetch is a compiler builtin, so it needs a guard for
+// compilers without it, and GCC deletes a call to an out-of-line wrapper
+// of it as dead code. Both are handled once, in src/graph/graph.hpp's
+// Graph::prefetch_* helpers; everything else prefetches through them.
+constexpr ForbiddenToken kPrefetchTokens[] = {
+    {"__builtin_prefetch", true,
+     "prefetch through the Graph::prefetch_* helpers (graph/graph.hpp), "
+     "the one place that carries the compiler guard"},
+};
+
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view p) {
   return s.substr(0, p.size()) == p;
 }
@@ -109,6 +120,9 @@ constexpr ForbiddenToken kDurableTokens[] = {
 }
 [[nodiscard]] bool is_designated_printer(std::string_view p) {
   return starts_with(p, "src/experiments/printers.");
+}
+[[nodiscard]] bool is_prefetch_home(std::string_view p) {
+  return p == "src/graph/graph.hpp";
 }
 [[nodiscard]] bool is_header(std::string_view p) {
   return ends_with(p, ".hpp");
@@ -286,6 +300,9 @@ std::vector<RuleInfo> rules() {
        "src/ and tools/ replace files only via durable_write_file "
        "(core/durable.hpp) — raw std::ofstream/std::rename swaps are "
        "findings unless waived as create-only"},
+      {"prefetch-in-graph",
+       "__builtin_prefetch appears only in src/graph/graph.hpp; everything "
+       "else prefetches through the Graph::prefetch_* helpers"},
       {"suppression-rationale",
        "every lint:allow(rule) waiver carries a written rationale"},
   };
@@ -314,10 +331,14 @@ std::vector<Diagnostic> check_file(std::string_view rel_path,
                    "every bench must support --json and emit a fingerprint"});
   }
 
+  const std::vector<std::string_view> raw_lines = split_lines(content);
+  const std::vector<std::string_view> scrubbed_lines = split_lines(scrubbed);
+  if (!is_prefetch_home(rel_path)) {
+    run_token_rule(rel_path, raw_lines, scrubbed_lines, "prefetch-in-graph",
+                   kPrefetchTokens, std::size(kPrefetchTokens), out);
+  }
+
   if (in_src(rel_path) || in_tools(rel_path)) {
-    const std::vector<std::string_view> raw_lines = split_lines(content);
-    const std::vector<std::string_view> scrubbed_lines =
-        split_lines(scrubbed);
     if (in_src(rel_path)) {
       run_token_rule(rel_path, raw_lines, scrubbed_lines,
                      "determinism-no-wall-clock", kWallClockTokens,

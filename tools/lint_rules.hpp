@@ -22,6 +22,10 @@
 //                              (core/durable.hpp) owns the tmp + fsync +
 //                              rename + dir-fsync protocol. Create-only
 //                              and append streams are waived per line.
+//   prefetch-in-graph          __builtin_prefetch appears only in
+//                              src/graph/graph.hpp, the one place that
+//                              carries the compiler guard; all other code
+//                              prefetches through Graph::prefetch_*.
 //
 // Suppression: a finding is waived per line with
 //     // lint:allow(rule-name): why this specific use is sound
