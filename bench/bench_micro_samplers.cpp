@@ -1,8 +1,10 @@
-// Microbenchmarks (google-benchmark): sampler step throughput and the
-// FS walker-selection ablation (Fenwick weighted tree vs linear scan)
-// called out in DESIGN.md §5.
+// Microbenchmarks (google-benchmark): sampler step throughput, the FS
+// walker-selection ablation (Fenwick weighted tree vs linear scan) called
+// out in DESIGN.md §5, and the codegree fold on both sides of
+// shared_neighbors' size rule.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string_view>
@@ -153,6 +155,55 @@ void BM_JointDegreeAbsorb(benchmark::State& state) {
                           static_cast<std::int64_t>(rec.edges.size()));
 }
 BENCHMARK(BM_JointDegreeAbsorb);
+
+/// The graphs BM_SharedNeighbors intersects rows of. G_AB at the
+/// served-crawl scale, whose hub-and-leaf edges take shared_neighbors'
+/// probe side; K_300, whose identical rows take the merge side with
+/// perfectly predicted branches; and ER with mean degree 64, whose
+/// similar-length rows take the merge side with unpredictable ones.
+enum class CodegreeGraph { kGab, kComplete300, kEr64 };
+
+Graph codegree_graph(CodegreeGraph which) {
+  switch (which) {
+    case CodegreeGraph::kGab:
+      return make_gab(10000, 1).graph;
+    case CodegreeGraph::kComplete300:
+      return complete_graph(300);
+    case CodegreeGraph::kEr64:
+    default: {
+      Rng rng(11);
+      return erdos_renyi_gnp(20000, 64.0 / 19999.0, rng);
+    }
+  }
+}
+
+/// f(u, v) over 4096 FS-sampled edges (m = 16), the per-edge fold of the
+/// triangle and clustering sinks. `probe_share` is the fraction of those
+/// edges on codegree_probes' probe side.
+void BM_SharedNeighbors(benchmark::State& state, CodegreeGraph which) {
+  const Graph g = codegree_graph(which);
+  Rng rng(12);
+  const SampleRecord rec =
+      FrontierSampler(g, {.dimension = 16, .steps = 4096}).run(rng);
+  std::size_t probes = 0;
+  for (const Edge& e : rec.edges) {
+    const std::uint32_t du = g.degree(e.u);
+    const std::uint32_t dv = g.degree(e.v);
+    if (codegree_probes(std::min(du, dv), std::max(du, dv))) ++probes;
+  }
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    for (const Edge& e : rec.edges) sum += shared_neighbors(g, e.u, e.v);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rec.edges.size()));
+  state.counters["probe_share"] = static_cast<double>(probes) /
+                                  static_cast<double>(rec.edges.size());
+}
+BENCHMARK_CAPTURE(BM_SharedNeighbors, gab, CodegreeGraph::kGab);
+BENCHMARK_CAPTURE(BM_SharedNeighbors, complete300, CodegreeGraph::kComplete300);
+BENCHMARK_CAPTURE(BM_SharedNeighbors, er64, CodegreeGraph::kEr64);
 
 void BM_GraphBuild(benchmark::State& state) {
   Rng rng(8);

@@ -7,6 +7,8 @@
 // degree-moment generalization Σ deg^k estimators follow the same pattern.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "core/types.hpp"
@@ -22,6 +24,22 @@ namespace frontier {
 /// Average degree from uniform vertex samples (plain mean of degrees).
 [[nodiscard]] double estimate_average_degree_uniform(
     const Graph& g, std::span<const VertexId> vertices);
+
+/// deg^e, bit-equal to std::pow(double(deg), double(e)) and usually far
+/// cheaper: the product of e copies of deg, which is an exact integer
+/// while it stays below 2^53 (where std::pow returns that same exact
+/// value); std::pow only above. The one degree-power fold of
+/// estimate_degree_moment and GraphMomentsSink.
+[[nodiscard]] inline double degree_power(std::uint32_t deg,
+                                         unsigned e) noexcept {
+  const double d = static_cast<double>(deg);
+  double p = 1.0;
+  // Each step multiplies exact integers: exact while the true product is
+  // below 2^53, and at least 2^53 once it is not (rounding is monotone),
+  // so the test below sees exactly the products that were exact.
+  for (unsigned i = 0; i < e; ++i) p *= d;
+  return p < 0x1p53 ? p : std::pow(d, static_cast<double>(e));
+}
 
 /// k-th raw moment of the degree distribution, E[deg^k], from stationary
 /// edge samples: mean(deg(v_i)^{k-1}) / mean(deg(v_i)^{-1})^{0}... —

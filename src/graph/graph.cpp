@@ -8,15 +8,15 @@ namespace frontier {
 bool Graph::has_edge(VertexId u, VertexId v) const noexcept {
   if (u >= num_vertices() || v >= num_vertices()) return false;
   const auto nbrs = neighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
+  const std::size_t k = lower_bound_index(nbrs, v);
+  return k < nbrs.size() && nbrs[k] == v;
 }
 
 bool Graph::has_directed_edge(VertexId u, VertexId v) const noexcept {
   if (u >= num_vertices() || v >= num_vertices()) return false;
   const auto nbrs = neighbors(u);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-  if (it == nbrs.end() || *it != v) return false;
-  const auto k = static_cast<std::size_t>(it - nbrs.begin());
+  const std::size_t k = lower_bound_index(nbrs, v);
+  if (k == nbrs.size() || nbrs[k] != v) return false;
   const EdgeDir d = directions(u)[k];
   return d == EdgeDir::kForward || d == EdgeDir::kBoth;
 }

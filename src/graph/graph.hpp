@@ -220,4 +220,24 @@ class Graph {
   }
 };
 
+/// Index of the first entry of the ascending `row` that is not less than
+/// x, or row.size() when every entry is: std::lower_bound without its
+/// data-dependent branch. Each halving step is a conditional add, which
+/// compiles to a cmov, so a search costs ~log2(size) dependent loads and
+/// no mispredictions, and independent searches overlap in the
+/// out-of-order core. Graph::has_edge, Graph::has_directed_edge and
+/// shared_neighbors' probe side all search through it.
+[[nodiscard]] inline std::size_t lower_bound_index(
+    std::span<const VertexId> row, VertexId x) noexcept {
+  std::size_t len = row.size();
+  if (len == 0) return 0;
+  const VertexId* base = row.data();
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base += base[half] < x ? half : 0;
+    len -= half;
+  }
+  return static_cast<std::size_t>(base - row.data()) + (*base < x ? 1 : 0);
+}
+
 }  // namespace frontier

@@ -375,18 +375,29 @@ Graph read_v2_body(std::istream& is) {
   read_array(arrays.out_degree, h.num_vertices);
   read_array(arrays.in_degree, h.num_vertices);
   // The stream path already pays O(n + s); validate the payload's
-  // structure — offset monotonicity, neighbor bounds, direction-flag
-  // domain, degree sums — so a bit-flipped snapshot surfaces as IoError,
-  // not a downstream crash. (Per-vertex neighbor sortedness is the one
-  // invariant left unchecked.)
+  // structure — offset monotonicity, neighbor bounds, strictly ascending
+  // self-loop-free rows, direction-flag domain, degree sums — so a
+  // bit-flipped snapshot surfaces as IoError, not a downstream crash or a
+  // wrong count: every neighbour search (has_edge, shared_neighbors)
+  // relies on the row order, and rows are what require_simple_graph
+  // demands of the motif analyses.
   if (arrays.offsets.front() != 0 ||
       arrays.offsets.back() != h.num_symmetric_edges ||
       !std::is_sorted(arrays.offsets.begin(), arrays.offsets.end())) {
     throw IoError("read_binary: inconsistent offset array");
   }
-  for (const VertexId v : arrays.neighbors) {
-    if (v >= h.num_vertices) {
-      throw IoError("read_binary: neighbor id out of range");
+  for (std::uint64_t v = 0; v < h.num_vertices; ++v) {
+    const std::uint64_t begin = arrays.offsets[v];
+    const std::uint64_t end = arrays.offsets[v + 1];
+    for (std::uint64_t k = begin; k < end; ++k) {
+      const VertexId x = arrays.neighbors[k];
+      if (x >= h.num_vertices) {
+        throw IoError("read_binary: neighbor id out of range");
+      }
+      if (x == v) throw IoError("read_binary: self-loop in adjacency row");
+      if (k > begin && x <= arrays.neighbors[k - 1]) {
+        throw IoError("read_binary: adjacency row not strictly ascending");
+      }
     }
   }
   for (const EdgeDir d : arrays.directions) {

@@ -46,12 +46,17 @@ void write_binary_file(const Graph& g, const std::string& path);
 /// and tests can produce v1 inputs; new snapshots should be v2.
 void write_binary_v1(const Graph& g, std::ostream& os);
 
-/// Reads a v1 or v2 snapshot from a stream (always into owned arrays).
+/// Reads a v1 or v2 snapshot from a stream (always into owned arrays). A
+/// v2 payload is validated in O(n + s): offsets, neighbour ids, strictly
+/// ascending self-loop-free rows, direction flags and degree sums; any
+/// violation throws IoError.
 [[nodiscard]] Graph read_binary(std::istream& is);
 
 /// Reads a snapshot file. v2 files are memory-mapped zero-copy (O(1) load;
 /// Graph::is_memory_mapped() reports true); v1 files go through the legacy
-/// rebuild path. Header counts are validated against the file size first.
+/// rebuild path. Header counts are validated against the file size first;
+/// a mapped file's array contents are trusted (a scan would defeat the
+/// O(1) load), so untrusted snapshots should pass through read_binary once.
 [[nodiscard]] Graph read_binary_file(const std::string& path);
 
 }  // namespace frontier

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "graph/components.hpp"
 
@@ -84,9 +85,21 @@ double exact_assortativity(const Graph& g) {
 
 std::uint32_t shared_neighbors(const Graph& g, VertexId u,
                                VertexId v) noexcept {
-  const auto a = g.neighbors(u);
-  const auto b = g.neighbors(v);
+  auto a = g.neighbors(u);
+  auto b = g.neighbors(v);
+  if (a.size() > b.size()) std::swap(a, b);
   std::uint32_t count = 0;
+  if (codegree_probes(a.size(), b.size())) {
+    // The rule is false for two empty rows, so b is non-empty here. A
+    // lower bound past b's end means every entry of b is below x, so
+    // clamping it to the last entry keeps the test exact without a
+    // bounds branch.
+    const std::size_t last = b.size() - 1;
+    for (const VertexId x : a) {
+      count += b[std::min(lower_bound_index(b, x), last)] == x ? 1 : 0;
+    }
+    return count;
+  }
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {

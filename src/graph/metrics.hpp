@@ -2,6 +2,8 @@
 // compared against (NMSE/CNMSE need the true θ and γ).
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -42,7 +44,25 @@ enum class DegreeKind : std::uint8_t {
 /// paper reports r = 0 for such graphs, e.g. Barabási–Albert parts of G_AB).
 [[nodiscard]] double exact_assortativity(const Graph& g);
 
+/// Weight of the merge's cost per entry in codegree_probes' size rule.
+inline constexpr std::size_t kCodegreeMergeWeight = 2;
+
+/// shared_neighbors' size rule, on the shorter row's length and the
+/// longer one's: true when probing each entry of the shorter row into the
+/// longer one (shorter · bit_width(longer) search steps) is cheaper than
+/// merging the two rows (kCodegreeMergeWeight · (shorter + longer)). The
+/// probes are independent branchless searches that touch ~log(longer)
+/// lines of a hub's row; the merge walks both rows and wins when they are
+/// of similar length, where its branches predict well.
+[[nodiscard]] constexpr bool codegree_probes(std::size_t shorter,
+                                             std::size_t longer) noexcept {
+  return shorter * static_cast<std::size_t>(std::bit_width(longer)) <
+         kCodegreeMergeWeight * (shorter + longer);
+}
+
 /// Number of common neighbors of u and v in G: the f(v,u) of Section 4.2.4.
+/// Probes or merges the two adjacency rows by codegree_probes; both give
+/// the same count.
 [[nodiscard]] std::uint32_t shared_neighbors(const Graph& g, VertexId u,
                                              VertexId v) noexcept;
 

@@ -1,8 +1,8 @@
 #include "stream/sinks.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
+#include "estimators/graph_moments.hpp"
 #include "stream/serialize.hpp"
 
 namespace frontier {
@@ -233,16 +233,21 @@ void GraphMomentsSink::ingest_block(const StreamEventBlock& block) {
   const std::uint8_t* flags = block.flags().data();
   const std::uint32_t* deg_col = block.deg_v().data();
   const std::size_t moments = pow_sums_.size();
+  double* pow_sums = pow_sums_.data();
+  double s = s_;
+  std::uint64_t n = n_;
   for (std::size_t i = 0; i < sz; ++i) {
     if (!(flags[i] & kHasEdge)) continue;
-    const double deg = static_cast<double>(deg_col[i]);
-    s_ += 1.0 / deg;
+    const std::uint32_t deg = deg_col[i];
+    s += 1.0 / static_cast<double>(deg);
     for (std::size_t k = 1; k <= moments; ++k) {
-      pow_sums_[k - 1] += std::pow(deg, static_cast<double>(k) - 1.0);
+      pow_sums[k - 1] += degree_power(deg, static_cast<unsigned>(k - 1));
     }
-    ++n_;
-    observed_.add(deg);
+    ++n;
+    observed_.add(static_cast<double>(deg));
   }
+  s_ = s;
+  n_ = n;
 }
 
 std::string_view GraphMomentsSink::name() const noexcept {

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -235,6 +238,37 @@ TEST(BinaryErrors, CorruptV2PayloadRejectedByStreamPath) {
     in << corrupt;
     EXPECT_THROW((void)read_binary(in), IoError);
   }
+
+  // Row-order corruptions keep every id in range and every degree sum
+  // intact, so only the per-row check catches them. Each rewrites entries
+  // of the first row with at least two neighbours.
+  VertexId v = 0;
+  while (g.degree(v) < 2) ++v;
+  const auto row = g.neighbors(v);
+  const std::size_t row_off =
+      40 + (g.num_vertices() + 1) * 8 + g.offsets()[v] * 4;
+  const auto expect_rejected = [&](std::initializer_list<
+                                       std::pair<std::size_t, VertexId>>
+                                       writes,
+                                   const char* what) {
+    std::string corrupt = bytes;
+    for (const auto& [k, value] : writes) {
+      corrupt.replace(row_off + 4 * k, 4,
+                      reinterpret_cast<const char*>(&value), 4);
+    }
+    std::stringstream in(std::ios::in | std::ios::out | std::ios::binary);
+    in << corrupt;
+    const std::string msg = io_error_message([&] { (void)read_binary(in); });
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  };
+  // Swapped: the row's first two entries in descending order.
+  expect_rejected({{0, row[1]}, {1, row[0]}}, "not strictly ascending");
+  // Repeated: a parallel edge, the first entry twice.
+  expect_rejected({{1, row[0]}}, "not strictly ascending");
+  // Self-loop: v itself, written where it keeps the row ascending.
+  const auto at = static_cast<std::size_t>(
+      std::lower_bound(row.begin(), row.end(), v) - row.begin());
+  expect_rejected({{std::min(at, row.size() - 1), v}}, "self-loop");
 }
 
 TEST(BinaryErrors, UnsupportedVersionThrows) {

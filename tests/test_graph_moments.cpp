@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -72,6 +75,25 @@ TEST(DegreeMomentEstimator, ZerothMomentIsOne) {
   const Graph g = cycle_graph(5);
   EXPECT_DOUBLE_EQ(estimate_degree_moment(g, full_edge_pass(g), 0), 1.0);
   EXPECT_DOUBLE_EQ(estimate_degree_moment(g, {}, 0), 0.0);
+}
+
+TEST(DegreePower, BitEqualToStdPow) {
+  // 94906265² is the last square below 2^53 and 94906266² the first above,
+  // so exponent 2 crosses from the integer product to std::pow between
+  // them; 2^26 squares to exactly 2^52.
+  constexpr std::uint32_t kDegrees[] = {
+      1u, 2u, 3u, 1000u, 1u << 26, 94906265u, 94906266u, 0xFFFFFFFFu};
+  for (const std::uint32_t deg : kDegrees) {
+    for (unsigned e = 0; e <= 4; ++e) {
+      const double want =
+          std::pow(static_cast<double>(deg), static_cast<double>(e));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(degree_power(deg, e)),
+                std::bit_cast<std::uint64_t>(want))
+          << "deg=" << deg << " e=" << e;
+    }
+  }
+  EXPECT_LT(94906265.0 * 94906265.0, 0x1p53);
+  EXPECT_GT(94906266.0 * 94906266.0, 0x1p53);
 }
 
 TEST(VolumeEstimator, ExactOnFullPassGivenTrueN) {

@@ -30,6 +30,7 @@
 #include "stream/motif_sinks.hpp"
 #include "stream/sampler_cursors.hpp"
 #include "stream/sinks.hpp"
+#include "stream/spec.hpp"
 
 namespace frontier {
 namespace {
@@ -256,6 +257,35 @@ TEST(StreamBatch, SinkStateIndependentOfBlockSize) {
     EXPECT_EQ(drive(k, rwj), rwj_state) << "K=" << k;
     EXPECT_EQ(drive(k, fs), fs_state) << "K=" << k;
   }
+}
+
+/// CRC-64 of the default six-sink roster's save_state after `cursor` is
+/// drained through it in blocks of 4096.
+std::uint64_t roster_digest(const Graph& g, SamplerCursor& cursor) {
+  const SinkSet sinks = CrawlSpec{}.make_sinks(g);
+  StreamEventBlock block(4096);
+  while (cursor.next_batch(block) > 0) {
+    for (const auto& sink : sinks) sink->ingest_block(block);
+  }
+  const std::string bytes = sink_state(sinks);
+  return crc64(bytes.data(), bytes.size());
+}
+
+/// The roster's folded state matches digests recorded before the folds
+/// were last rewritten. Every other sink test compares two paths of one
+/// build, so a fold change that is consistent across those paths passes
+/// them; these pin the values themselves.
+TEST(StreamBatch, RosterStateMatchesGoldenDigests) {
+  const Graph g = test_graph();
+  ASSERT_GT(exact_triangle_count(g), 0u);
+  FrontierCursor fs(g, FrontierSampler::Config{.dimension = 16, .steps = 6000},
+                    Rng(51));
+  EXPECT_EQ(roster_digest(g, fs), 0x40dcb32c522a9d51ULL);
+  SingleRwCursor srw(g, SingleRandomWalk::Config{.steps = 6000}, Rng(52));
+  EXPECT_EQ(roster_digest(g, srw), 0x4ca01383c90312b6ULL);
+  MetropolisCursor mh(g, MetropolisHastingsWalk::Config{.steps = 6000},
+                      Rng(53));
+  EXPECT_EQ(roster_digest(g, mh), 0xe3dae3f879225ef9ULL);
 }
 
 // ------------------------------------------------- checkpoint mid-block
