@@ -75,7 +75,7 @@ std::uint64_t load_body(std::istream& is, SamplerCursor& cursor,
     throw IoError("StreamCheckpoint::load: sink count mismatch");
   }
   for (const auto& sink : sinks) {
-    const std::string name = read_string(is);
+    const std::string name = read_string(is, "sink name");
     if (name != sink->name()) {
       throw IoError("StreamCheckpoint::load: sink order mismatch: expected " +
                     std::string(sink->name()) + ", found " + name);

@@ -133,8 +133,8 @@ void ClusteringSink::load_state(std::istream& is) {
   s_ = read_pod<double>(is);
   num_ = read_pod<double>(is);
   n_ = read_pod<std::uint64_t>(is);
-  count_ = read_vector<std::uint64_t>(is);
-  fsum_ = read_vector<std::uint64_t>(is);
+  count_ = read_vector<std::uint64_t>(is, "clustering class counts");
+  fsum_ = read_vector<std::uint64_t>(is, "clustering class codegree sums");
 }
 
 // --------------------------------------------------------------- MotifSink

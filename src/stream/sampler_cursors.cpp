@@ -1,6 +1,7 @@
 #include "stream/sampler_cursors.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -130,6 +131,23 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
   const Graph& g = *graph_;
   Rng rng = rng_;  // hot state in locals; written back after the loop
   VertexId* frontier = frontier_.data();
+  const std::size_t m = config_.dimension;
+  // Warm what the moved walker's next step will wait on: the adjacency
+  // row of the vertex v it moved to, now, and, kWarmLag steps later when
+  // that row has landed, the degrees of v's neighbours, one of which the
+  // Fenwick update will read. `moved` holds the last kWarmLag moved-to
+  // vertices, seeded with walker positions so every slot is a vertex. A
+  // walker is next picked ~Σdeg/deg(v) steps after it moves, past both
+  // latencies. Hints only: no value or random draw changes.
+  constexpr std::size_t kWarmLag = 16;
+  std::array<VertexId, kWarmLag> moved;
+  for (std::size_t j = 0; j < kWarmLag; ++j) moved[j] = frontier[j % m];
+  const auto warm = [&g, &moved](std::size_t k, VertexId v) {
+    g.prefetch_neighbors(v);
+    VertexId& slot = moved[k % kWarmLag];
+    g.prefetch_neighbor_offsets(slot);
+    slot = v;
+  };
   if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
     for (std::size_t k = 0; k < want; ++k) {
       const std::size_t i = tree_.sample(rng);  // line 4: walker ∝ degree
@@ -137,10 +155,7 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
       const auto nbrs = g.neighbors(u);                      // line 5
       const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
       const std::uint32_t dv = g.degree(v);
-      // Warm v's adjacency now: this walker is next selected ~m steps
-      // from now, far beyond the prefetch latency, so its step then
-      // hits cache instead of stalling on main memory.
-      g.prefetch_neighbors(v);
+      warm(k, v);
       block.push_edge(u, v, dv);                             // line 6
       frontier[i] = v;
       tree_.set(i, static_cast<double>(dv));
@@ -148,7 +163,6 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
   } else {
     // Linear-scan selection: draw a threshold in [0, Σ deg) and walk the
     // frontier until the cumulative degree passes it.
-    const std::size_t m = config_.dimension;
     double scan_total = scan_total_;
     for (std::size_t step = 0; step < want; ++step) {
       const double target = uniform01(rng) * scan_total;
@@ -165,7 +179,7 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
       const auto nbrs = g.neighbors(u);
       const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
       const std::uint32_t dv = g.degree(v);
-      g.prefetch_neighbors(v);
+      warm(step, v);
       block.push_edge(u, v, dv);
       scan_total +=
           static_cast<double>(dv) - static_cast<double>(g.degree(u));
@@ -205,8 +219,8 @@ void FrontierCursor::load_state(std::istream& is) {
   expect_pod<std::uint8_t>(is, static_cast<std::uint8_t>(config_.selection),
                            "selection");
   step_ = read_pod<std::uint64_t>(is);
-  frontier_ = read_vector<VertexId>(is);
-  starts_ = read_vector<VertexId>(is);
+  frontier_ = read_vector<VertexId>(is, "FrontierCursor frontier");
+  starts_ = read_vector<VertexId>(is, "FrontierCursor starts");
   const double scan_total = read_pod<double>(is);
   read_rng(is, rng_);
   if (frontier_.size() != config_.dimension || step_ > config_.steps) {
@@ -330,7 +344,7 @@ void SingleRwCursor::load_state(std::istream& is) {
   u_ = read_pod<VertexId>(is);
   burn_done_ = read_pod<std::uint64_t>(is);
   step_ = read_pod<std::uint64_t>(is);
-  starts_ = read_vector<VertexId>(is);
+  starts_ = read_vector<VertexId>(is, "SingleRwCursor starts");
   read_rng(is, rng_);
   check_position(*graph_, u_, "walker");
   if (burn_done_ > config_.burn_in || step_ > config_.steps) {
@@ -441,7 +455,7 @@ void MultipleRwCursor::load_state(std::istream& is) {
   expect_pod<double>(is, config_.jump_cost, "jump_cost");
   expect_pod<std::uint8_t>(is, static_cast<std::uint8_t>(config_.start),
                            "start mode");
-  starts_ = read_vector<VertexId>(is);
+  starts_ = read_vector<VertexId>(is, "MultipleRwCursor starts");
   u_ = read_pod<VertexId>(is);
   walker_ = read_pod<std::uint64_t>(is);
   step_ = read_pod<std::uint64_t>(is);
@@ -573,7 +587,7 @@ void RwjCursor::load_state(std::istream& is) {
   expect_pod<double>(is, config_.jump_probability, "jump_probability");
   expect_pod<double>(is, config_.cost.jump_cost, "jump_cost");
   expect_pod<double>(is, config_.cost.hit_ratio, "hit_ratio");
-  starts_ = read_vector<VertexId>(is);
+  starts_ = read_vector<VertexId>(is, "RwjCursor starts");
   v_ = read_pod<VertexId>(is);
   pending_vertex_ = read_optional_vertex(is);
   cost_ = read_pod<double>(is);
@@ -682,7 +696,7 @@ void MetropolisCursor::load_state(std::istream& is) {
   v_ = read_pod<VertexId>(is);
   pending_vertex_ = read_optional_vertex(is);
   step_ = read_pod<std::uint64_t>(is);
-  starts_ = read_vector<VertexId>(is);
+  starts_ = read_vector<VertexId>(is, "MetropolisCursor starts");
   read_rng(is, rng_);
   check_position(*graph_, v_, "walker");
   if (step_ > config_.steps ||

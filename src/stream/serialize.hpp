@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -51,13 +52,38 @@ void write_vector(std::ostream& os, const std::vector<T>& v) {
   }
 }
 
-template <typename T>
-[[nodiscard]] std::vector<T> read_vector(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
+/// Bytes between the read position and the end of a seekable stream,
+/// such as the in-memory body StreamCheckpoint::load parses; the largest
+/// count when the stream cannot seek.
+[[nodiscard]] inline std::uint64_t bytes_left(std::istream& is) {
+  constexpr std::uint64_t kUnknown = std::numeric_limits<std::uint64_t>::max();
+  std::streambuf* buf = is.rdbuf();
+  const auto here = buf->pubseekoff(0, std::ios_base::cur, std::ios_base::in);
+  if (here == std::streampos(-1)) return kUnknown;
+  const auto end = buf->pubseekoff(0, std::ios_base::end, std::ios_base::in);
+  buf->pubseekpos(here, std::ios_base::in);
+  if (end == std::streampos(-1)) return kUnknown;
+  return static_cast<std::uint64_t>(end - here);
+}
+
+/// Reads the length prefix of a container of `size`-byte elements and
+/// rejects it, before anything is allocated, when its payload would not
+/// fit in what is left of the stream. `what` names the field in the error.
+[[nodiscard]] inline std::uint64_t read_length(std::istream& is,
+                                               std::size_t size,
+                                               const char* what) {
   const auto n = read_pod<std::uint64_t>(is);
-  if (n > kMaxElements) {
-    throw IoError("stream checkpoint: corrupt length field");
+  if (n > kMaxElements || n * size > bytes_left(is)) {
+    throw IoError(std::string("stream checkpoint: corrupt length field: ") +
+                  what + " (" + std::to_string(n) + " elements)");
   }
+  return n;
+}
+
+template <typename T>
+[[nodiscard]] std::vector<T> read_vector(std::istream& is, const char* what) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const std::uint64_t n = read_length(is, sizeof(T), what);
   std::vector<T> v(n);
   if (n != 0) {
     is.read(reinterpret_cast<char*>(v.data()),
@@ -73,11 +99,9 @@ inline void write_string(std::ostream& os, const std::string& s) {
   if (!os) throw IoError("stream checkpoint: write failure");
 }
 
-[[nodiscard]] inline std::string read_string(std::istream& is) {
-  const auto n = read_pod<std::uint64_t>(is);
-  if (n > kMaxElements) {
-    throw IoError("stream checkpoint: corrupt length field");
-  }
+[[nodiscard]] inline std::string read_string(std::istream& is,
+                                             const char* what) {
+  const std::uint64_t n = read_length(is, 1, what);
   std::string s(n, '\0');
   if (n != 0) {
     is.read(s.data(), static_cast<std::streamsize>(n));

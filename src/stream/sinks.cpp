@@ -19,76 +19,6 @@ constexpr std::uint8_t kHasVertex = StreamEventBlock::kHasVertex;
 
 }  // namespace
 
-// ------------------------------------------------- DegreeDistributionSink
-
-DegreeDistributionSink::DegreeDistributionSink(const Graph& g, DegreeKind kind)
-    : graph_(&g), kind_(kind) {}
-
-void DegreeDistributionSink::ingest_block(const StreamEventBlock& block) {
-  const std::size_t sz = block.size();
-  const std::uint8_t* flags = block.flags().data();
-  const std::uint32_t* deg = block.deg_v().data();
-  const VertexId* v = block.v().data();
-  double s = s_;
-  std::uint64_t n = n_;
-  if (kind_ == DegreeKind::kSymmetric) {
-    // The bucket degree equals the weight degree: both come straight from
-    // the block's degree column, no graph lookups at all.
-    for (std::size_t i = 0; i < sz; ++i) {
-      if (!(flags[i] & kHasEdge)) continue;
-      const std::uint32_t d = deg[i];
-      const double inv_deg = 1.0 / static_cast<double>(d);
-      s += inv_deg;
-      if (d >= weighted_.size()) weighted_.resize(d + 1, 0.0);
-      weighted_[d] += inv_deg;
-      ++n;
-    }
-  } else {
-    for (std::size_t i = 0; i < sz; ++i) {
-      if (!(flags[i] & kHasEdge)) continue;
-      const double inv_deg = 1.0 / static_cast<double>(deg[i]);
-      s += inv_deg;
-      const std::uint32_t d = degree_of(*graph_, v[i], kind_);
-      if (d >= weighted_.size()) weighted_.resize(d + 1, 0.0);
-      weighted_[d] += inv_deg;
-      ++n;
-    }
-  }
-  s_ = s;
-  n_ = n;
-}
-
-std::string_view DegreeDistributionSink::name() const noexcept {
-  return "degree_distribution";
-}
-
-std::vector<double> DegreeDistributionSink::distribution() const {
-  std::vector<double> theta = weighted_;
-  if (s_ > 0.0) {
-    for (double& w : theta) w /= s_;
-  }
-  return theta;
-}
-
-std::vector<double> DegreeDistributionSink::ccdf() const {
-  return ccdf_from_pdf(distribution());
-}
-
-void DegreeDistributionSink::save_state(std::ostream& os) const {
-  write_pod<std::uint8_t>(os, static_cast<std::uint8_t>(kind_));
-  write_vector(os, weighted_);
-  write_pod<double>(os, s_);
-  write_pod<std::uint64_t>(os, n_);
-}
-
-void DegreeDistributionSink::load_state(std::istream& is) {
-  streamio::expect_pod<std::uint8_t>(is, static_cast<std::uint8_t>(kind_),
-                                     "degree kind");
-  weighted_ = read_vector<double>(is);
-  s_ = read_pod<double>(is);
-  n_ = read_pod<std::uint64_t>(is);
-}
-
 // ------------------------------------------------------- VertexDensitySink
 
 VertexDensitySink::VertexDensitySink(const Graph& g,
@@ -283,7 +213,7 @@ void GraphMomentsSink::save_state(std::ostream& os) const {
 }
 
 void GraphMomentsSink::load_state(std::istream& is) {
-  const auto pow_sums = read_vector<double>(is);
+  const auto pow_sums = read_vector<double>(is, "graph_moments power sums");
   if (pow_sums.size() != pow_sums_.size()) {
     throw IoError("stream checkpoint: configuration mismatch: max_moment");
   }

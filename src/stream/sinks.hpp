@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "estimators/assortativity.hpp"
+#include "estimators/degree_distribution.hpp"
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
 #include "stats/accumulators.hpp"
@@ -48,29 +49,35 @@ class EstimatorSink {
   virtual void load_state(std::istream& is) = 0;
 };
 
-/// Streaming eq.-7 degree distribution (and CCDF): the histogram of
-/// 1/deg(v_i) weights of estimate_degree_distribution, folded per edge.
+/// Streaming eq.-7 degree distribution (and CCDF): the fold of
+/// estimate_degree_distribution (DegreeDistributionFold), fed per block.
 class DegreeDistributionSink final : public EstimatorSink {
  public:
-  DegreeDistributionSink(const Graph& g, DegreeKind kind);
+  DegreeDistributionSink(const Graph& g, DegreeKind kind) : fold_(g, kind) {}
 
-  void ingest_block(const StreamEventBlock& block) override;
-  [[nodiscard]] std::string_view name() const noexcept override;
-  void save_state(std::ostream& os) const override;
-  void load_state(std::istream& is) override;
+  void ingest_block(const StreamEventBlock& block) override {
+    fold_.add(block);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "degree_distribution";
+  }
+  void save_state(std::ostream& os) const override { fold_.save(os); }
+  void load_state(std::istream& is) override { fold_.load(is); }
 
   /// θ̂ — identical to estimate_degree_distribution over the same edges.
-  [[nodiscard]] std::vector<double> distribution() const;
+  [[nodiscard]] std::vector<double> distribution() const {
+    return fold_.distribution();
+  }
   /// γ̂ — identical to estimate_degree_ccdf over the same edges.
-  [[nodiscard]] std::vector<double> ccdf() const;
-  [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
+  [[nodiscard]] std::vector<double> ccdf() const {
+    return ccdf_from_pdf(fold_.distribution());
+  }
+  [[nodiscard]] std::uint64_t edges_consumed() const noexcept {
+    return fold_.edges();
+  }
 
  private:
-  const Graph* graph_;
-  DegreeKind kind_;
-  std::vector<double> weighted_;  // Σ 1/deg(v_i) per degree bucket
-  double s_ = 0.0;                // Σ 1/deg(v_i)
-  std::uint64_t n_ = 0;
+  DegreeDistributionFold fold_;
 };
 
 /// Streaming eq. 7: vertex label density from edge samples, reweighted by

@@ -6,12 +6,15 @@
 // validated before a single byte of cursor or sink state is restored.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
+#include "core/checksum.hpp"
 #include "core/io_error.hpp"
 #include "graph/generators.hpp"
 #include "stream/engine.hpp"
@@ -105,6 +108,71 @@ TEST(CheckpointCorruption, GarbageAndAppendedTailAreRejected) {
   // A file that is nothing but a valid-looking trailer magic has no body.
   expect_rejected(g, std::string("FRONTTR1FRONTTR1FRONTTR1"),
                   "trailer with no body");
+}
+
+// A length field an attacker controls, with a valid trailer recomputed
+// over the edited body: the CRC cannot catch it, so the parser must
+// refuse any length whose payload exceeds what is left of the body
+// before it allocates, and say which field is corrupt.
+std::uint64_t get_u64(const std::string& blob, std::size_t at) {
+  std::uint64_t x = 0;
+  std::memcpy(&x, blob.data() + at, sizeof x);
+  return x;
+}
+
+std::string with_length(const std::string& blob, std::size_t at,
+                        std::size_t element_size) {
+  constexpr std::size_t kTrailer = 24;
+  const std::size_t body_len = blob.size() - kTrailer;
+  const std::uint64_t left = body_len - (at + sizeof(std::uint64_t));
+  const std::uint64_t n = left / element_size + 1;
+  std::string body = blob.substr(0, body_len);
+  std::memcpy(body.data() + at, &n, sizeof n);
+  const std::uint64_t crc = crc64(body.data(), body.size());
+  std::string out = body;
+  out.append(reinterpret_cast<const char*>(&body_len), sizeof(std::uint64_t));
+  out.append(reinterpret_cast<const char*>(&crc), sizeof crc);
+  out.append(blob, blob.size() - 8, 8);  // trailer magic
+  return out;
+}
+
+void expect_length_rejected(const Graph& g, const std::string& blob,
+                            const std::string& field) {
+  StreamEngine victim = make_engine(g, 999);
+  std::istringstream is(blob, std::ios::binary);
+  try {
+    victim.load_checkpoint(is);
+    ADD_FAILURE() << field << ": oversized length loaded silently";
+  } catch (const IoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("corrupt length field"), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+  EXPECT_EQ(victim.events(), 0u) << field << ": failed load mutated state";
+}
+
+TEST(CheckpointCorruption, LengthBeyondTheBodyIsRejectedBeforeAllocating) {
+  const Graph g = test_graph();
+  const std::string blob = pristine_blob(g);
+
+  // Body header (magic, version, cursor kind, |V|, vol) is 32 bytes; the
+  // FS state then holds dimension, steps, jump cost, start mode,
+  // selection and step (34 bytes) before the frontier's length.
+  constexpr std::size_t kFrontierLength = 32 + 34;
+  ASSERT_EQ(get_u64(blob, kFrontierLength), 3u);  // dimension m = 3
+  expect_length_rejected(g, with_length(blob, kFrontierLength,
+                                        sizeof(VertexId)),
+                         "FrontierCursor frontier");
+
+  // The degree-distribution sink's state follows its name: a kind byte,
+  // then the bucket vector's length.
+  const std::string name = "degree_distribution";
+  const std::size_t at = blob.find(name);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t buckets_length = at + name.size() + 1;
+  ASSERT_GT(get_u64(blob, buckets_length), 0u);
+  expect_length_rejected(g, with_length(blob, buckets_length, sizeof(double)),
+                         "degree_distribution buckets");
 }
 
 TEST(CheckpointCorruption, TornFileOnDiskIsRejectedByLoadFile) {

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/checksum.hpp"
+#include "experiments/datasets.hpp"
 #include "graph/generators.hpp"
 #include "sampling/frontier_sampler.hpp"
+#include "sampling/multiple_rw.hpp"
 #include "sampling/single_rw.hpp"
+#include "stream/block.hpp"
+#include "stream/sinks.hpp"
 
 namespace frontier {
 namespace {
@@ -106,6 +115,86 @@ TEST(DegreeCcdfEstimator, MatchesPdfThenCcdf) {
   for (std::size_t i = 0; i < manual.size(); ++i) {
     EXPECT_NEAR(via_helper[i], manual[i], 1e-12);
   }
+}
+
+// Golden digests of the eq.-7 fold. Fixed-seed FS (m = 16), SingleRW and
+// MultipleRW samples on a small G_AB and a small BA graph, every
+// DegreeKind: the batch estimator's output, the streaming sink's output
+// fed the same edges, and the sink's serialized state (its checkpoint
+// format). Recorded from the two separate folds the shared one replaced.
+
+std::vector<std::vector<Edge>> golden_samples(const Graph& g) {
+  Rng rng(2024);
+  const FrontierSampler fs(g, {.dimension = 16, .steps = 3000});
+  const SingleRandomWalk srw(g, {.steps = 3000});
+  const MultipleRandomWalks mrw(g,
+                                {.num_walkers = 16, .steps_per_walker = 190});
+  std::vector<std::vector<Edge>> samples;
+  samples.push_back(fs.run(rng).edges);
+  samples.push_back(srw.run(rng).edges);
+  samples.push_back(mrw.run(rng).edges);
+  return samples;
+}
+
+void put_u64(std::string& bytes, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    bytes.push_back(static_cast<char>((x >> (8 * i)) & 0xff));
+  }
+}
+
+void put_doubles(std::string& bytes, const std::vector<double>& x) {
+  put_u64(bytes, x.size());
+  for (const double d : x) put_u64(bytes, std::bit_cast<std::uint64_t>(d));
+}
+
+TEST(DegreeDistributionEstimator, BatchAndSinkMatchGoldenDigests) {
+  Rng rng(11);
+  const Graph ba = barabasi_albert(400, 3, rng);
+  const Graph gab = make_gab(200, 5).graph;
+  std::string batch_bytes;
+  std::string sink_bytes;
+  std::string state_bytes;
+  for (const Graph* g : {&gab, &ba}) {
+    for (const std::vector<Edge>& edges : golden_samples(*g)) {
+      ASSERT_FALSE(edges.empty());
+      for (const DegreeKind kind :
+           {DegreeKind::kSymmetric, DegreeKind::kIn, DegreeKind::kOut}) {
+        const std::vector<double> batch =
+            estimate_degree_distribution(*g, edges, kind);
+        // The same edges through the sink, in blocks that do not divide
+        // the sample.
+        DegreeDistributionSink sink(*g, kind);
+        StreamEventBlock block(61);
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+          block.push_edge(edges[i].u, edges[i].v, g->degree(edges[i].v));
+          if (block.room() == 0 || i + 1 == edges.size()) {
+            sink.ingest_block(block);
+            block.clear();
+          }
+        }
+        const std::vector<double> streamed = sink.distribution();
+        ASSERT_EQ(streamed.size(), batch.size());
+        for (std::size_t d = 0; d < batch.size(); ++d) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(streamed[d]),
+                    std::bit_cast<std::uint64_t>(batch[d]))
+              << "degree " << d;
+        }
+        put_doubles(batch_bytes, batch);
+        put_doubles(sink_bytes, streamed);
+        std::ostringstream state(std::ios::binary);
+        sink.save_state(state);
+        state_bytes += state.str();
+      }
+    }
+  }
+  // The sink's output is bit-equal to the batch output, so both digests
+  // are the same number.
+  constexpr std::uint64_t kDistributionDigest = 0x67f8679cb4aeca68ULL;
+  EXPECT_EQ(crc64(batch_bytes.data(), batch_bytes.size()),
+            kDistributionDigest);
+  EXPECT_EQ(crc64(sink_bytes.data(), sink_bytes.size()), kDistributionDigest);
+  EXPECT_EQ(crc64(state_bytes.data(), state_bytes.size()),
+            0x5b6d365ef60eb445ULL);
 }
 
 }  // namespace
