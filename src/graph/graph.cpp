@@ -5,20 +5,24 @@
 
 namespace frontier {
 
-bool Graph::has_edge(VertexId u, VertexId v) const noexcept {
-  if (u >= num_vertices() || v >= num_vertices()) return false;
+EdgeIndex Graph::find_slot(VertexId u, VertexId v) const noexcept {
+  if (u >= num_vertices() || v >= num_vertices()) return kNoSlot;
   const auto nbrs = neighbors(u);
   const std::size_t k = lower_bound_index(nbrs, v);
-  return k < nbrs.size() && nbrs[k] == v;
+  return k < nbrs.size() && nbrs[k] == v ? slot(u, k) : kNoSlot;
+}
+
+const CodegreeMemo& Graph::codegree_memo() const {
+  static const CodegreeMemo kEmpty;
+  return storage_ == nullptr ? kEmpty : storage_->codegree_memo();
+}
+
+bool Graph::has_edge(VertexId u, VertexId v) const noexcept {
+  return find_slot(u, v) != kNoSlot;
 }
 
 bool Graph::has_directed_edge(VertexId u, VertexId v) const noexcept {
-  if (u >= num_vertices() || v >= num_vertices()) return false;
-  const auto nbrs = neighbors(u);
-  const std::size_t k = lower_bound_index(nbrs, v);
-  if (k == nbrs.size() || nbrs[k] != v) return false;
-  const EdgeDir d = directions(u)[k];
-  return d == EdgeDir::kForward || d == EdgeDir::kBoth;
+  return is_forward(find_slot(u, v));
 }
 
 std::uint32_t Graph::max_degree() const noexcept {

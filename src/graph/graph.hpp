@@ -10,6 +10,7 @@
 // recording which directed edges exist in E_d.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -91,6 +92,33 @@ class Graph {
     return neighbors_[offsets_[v] + k];
   }
 
+  /// Returned by find_slot when (u, v) is not in E.
+  static constexpr EdgeIndex kNoSlot = ~EdgeIndex{0};
+
+  /// CSR slot of v's k-th neighbour: the index of neighbor(v, k) in
+  /// neighbor_array() and of its flag in direction_array() (unchecked).
+  [[nodiscard]] EdgeIndex slot(VertexId v, std::size_t k) const noexcept {
+    return offsets_[v] + k;
+  }
+
+  /// CSR slot of the adjacency (u, v), found by a branchless search of
+  /// u's row, or kNoSlot when (u, v) is not in E. O(log deg(u)).
+  [[nodiscard]] EdgeIndex find_slot(VertexId u, VertexId v) const noexcept;
+
+  /// True iff slot s is a directed edge of E_d in its row's direction,
+  /// i.e. the slot of (u, v) with (u, v) in E_d; false for any slot past
+  /// the last one, kNoSlot included.
+  [[nodiscard]] bool is_forward(EdgeIndex s) const noexcept {
+    if (s >= directions_.size()) return false;
+    const EdgeDir d = directions_[s];
+    return d == EdgeDir::kForward || d == EdgeDir::kBoth;
+  }
+
+  /// The graph-wide codegree memo of the storage, shared by every copy of
+  /// this Graph (GraphStorage::codegree_memo); allocated by the first
+  /// call. Empty for a default-constructed graph.
+  [[nodiscard]] const CodegreeMemo& codegree_memo() const;
+
   // Software-prefetch hints. Each asks the cache for the lines a later
   // lookup of v will touch, so a loop can overlap many of those misses
   // instead of paying them one after another; none changes any value.
@@ -110,16 +138,6 @@ class Graph {
     if (b == e) return;
     prefetch_line(neighbors_.data() + b);
     prefetch_line(neighbors_.data() + e - 1);
-  }
-
-  /// The direction flags parallel to v's adjacency range; reads v's
-  /// offsets like prefetch_neighbors.
-  [[gnu::always_inline]] void prefetch_directions(VertexId v) const noexcept {
-    const std::uint64_t b = offsets_[v];
-    const std::uint64_t e = offsets_[v + 1];
-    if (b == e) return;
-    prefetch_line(directions_.data() + b);
-    prefetch_line(directions_.data() + e - 1);
   }
 
   /// Rows longer than this are skipped by prefetch_neighbor_offsets.
@@ -148,6 +166,18 @@ class Graph {
   [[gnu::always_inline]] void prefetch_offsets(VertexId v) const noexcept {
     prefetch_line(offsets_.data() + v);
     prefetch_line(offsets_.data() + v + 1);
+  }
+
+  /// The direction flag of slot s; nothing for a slot past the last.
+  [[gnu::always_inline]] void prefetch_direction(EdgeIndex s) const noexcept {
+    if (s < directions_.size()) prefetch_line(directions_.data() + s);
+  }
+
+  /// Entry s of `memo`, a codegree_memo() of this graph; nothing when s
+  /// is past the memo's end.
+  [[gnu::always_inline]] static void prefetch_codegree(
+      const CodegreeMemo& memo, EdgeIndex s) noexcept {
+    if (s < memo.size_) prefetch_line(memo.bytes_ + s);
   }
 
   /// out_degree(v) and in_degree(v) respectively.
@@ -247,8 +277,9 @@ class Graph {
 /// data-dependent branch. Each halving step is a conditional add, which
 /// compiles to a cmov, so a search costs ~log2(size) dependent loads and
 /// no mispredictions, and independent searches overlap in the
-/// out-of-order core. Graph::has_edge, Graph::has_directed_edge and
-/// shared_neighbors' probe side all search through it.
+/// out-of-order core. Graph::find_slot (and so has_edge and
+/// has_directed_edge) and shared_neighbors' probe side all search
+/// through it.
 [[nodiscard]] inline std::size_t lower_bound_index(
     std::span<const VertexId> row, VertexId x) noexcept {
   std::size_t len = row.size();

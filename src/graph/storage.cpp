@@ -78,6 +78,12 @@ MmapFile MmapFile::open(const std::string& path) {
 #endif
 }
 
+const CodegreeMemo& GraphStorage::codegree_memo() const {
+  std::call_once(memo_once_,
+                 [this] { memo_ = CodegreeMemo(views_.neighbors.size()); });
+  return memo_;
+}
+
 std::shared_ptr<const GraphStorage> GraphStorage::from_arrays(Arrays arrays) {
   auto storage = std::shared_ptr<GraphStorage>(new GraphStorage());
   storage->arrays_ = std::move(arrays);

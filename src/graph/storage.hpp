@@ -9,16 +9,22 @@
 //               in the graph size: no copy, no per-edge rebuild.
 // Graphs share storage by shared_ptr, so copying a Graph is cheap and a
 // mapped file stays alive exactly as long as some Graph views it.
+//
+// Besides the immutable arrays, a storage owns one mutable side table,
+// the codegree memo (codegree_memo() below), which every Graph copy,
+// engine and thread over the storage shares.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/types.hpp"
+#include "graph/codegree_memo.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define FRONTIER_HAS_MMAP 1
@@ -90,6 +96,12 @@ class GraphStorage {
   [[nodiscard]] const Views& views() const noexcept { return views_; }
   [[nodiscard]] bool is_memory_mapped() const noexcept { return mapped_; }
 
+  /// The codegree memo, one entry per CSR slot (views().neighbors.size()
+  /// entries). Allocated by the first call, thread-safely, as lazily
+  /// zeroed pages, so a process that never asks pays no memory and one
+  /// that asks pays only for the pages it writes.
+  [[nodiscard]] const CodegreeMemo& codegree_memo() const;
+
  private:
   GraphStorage() = default;
 
@@ -97,6 +109,8 @@ class GraphStorage {
   MmapFile file_;  // populated iff mapped_
   Views views_;
   bool mapped_ = false;
+  mutable std::once_flag memo_once_;
+  mutable CodegreeMemo memo_;  // assigned under memo_once_
 };
 
 }  // namespace frontier

@@ -20,13 +20,21 @@
 // of eq. 7), and the cursor usually has it at hand (FS updates its
 // Fenwick tree with it), so the block computes it once for all sinks.
 //
+// The slot column carries the CSR slot of (u, v) — the index of v in the
+// graph's neighbor_array(), offsets[u] + the neighbour index the cursor
+// drew — which the cursor has at hand for free. It locates everything
+// the graph keeps per adjacency without a search of u's row: the edge's
+// direction flag (the assortativity sink) and its codegree memo entry.
+//
 // The codegree column f(u, v) = |N(u) ∩ N(v)| is the same idea one step
 // further: the triangle and clustering sinks both need it per edge row,
 // and each value is a chain of cache misses on a large graph. It is not
 // written by cursors (batch replication would pay for it) but computed
 // on the first codegree() call of a fill, behind a software-prefetch
 // pipeline (for_each_edge_row_prefetched), and shared by every later
-// reader of that fill.
+// reader of that fill. Across fills, the graph-wide codegree memo
+// (GraphStorage::codegree_memo) remembers f by slot, so an edge's
+// codegree is computed once per graph, not once per sample.
 #pragma once
 
 #include <algorithm>
@@ -70,19 +78,29 @@ class StreamEventBlock {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t room() const noexcept { return cap_ - size_; }
+  /// Empties the block for a fill whose slot column indexes no graph.
   void clear() noexcept {
     size_ = 0;
     codegree_graph_ = nullptr;
+    slot_neighbors_ = nullptr;
   }
+  /// Empties the block for a fill whose edge rows carry CSR slots of g
+  /// (and of every Graph sharing g's storage): slot() of an edge row
+  /// (u, v) must then be g.find_slot(u, v), i.e. Graph::kNoSlot when
+  /// (u, v) is not in E (checked by assert where slots are read). Cursors
+  /// start every fill so.
+  void clear(const Graph& g) noexcept;
 
   // Writer API (cursors). Precondition: size() < capacity(). Rows not
   // carrying an edge (resp. vertex) leave those columns stale; readers
   // must gate on flags().
   void push_empty() noexcept { flags_[size_++] = 0; }
-  void push_edge(VertexId u, VertexId v, std::uint32_t deg_v) noexcept {
+  void push_edge(VertexId u, VertexId v, std::uint32_t deg_v,
+                 EdgeIndex slot) noexcept {
     u_[size_] = u;
     v_[size_] = v;
     deg_v_[size_] = deg_v;
+    slot_[size_] = slot;
     flags_[size_++] = kHasEdge;
   }
   void push_vertex(VertexId x) noexcept {
@@ -90,10 +108,11 @@ class StreamEventBlock {
     flags_[size_++] = kHasVertex;
   }
   void push_edge_vertex(VertexId u, VertexId v, std::uint32_t deg_v,
-                        VertexId x) noexcept {
+                        EdgeIndex slot, VertexId x) noexcept {
     u_[size_] = u;
     v_[size_] = v;
     deg_v_[size_] = deg_v;
+    slot_[size_] = slot;
     vertex_[size_] = x;
     flags_[size_++] = kHasEdge | kHasVertex;
   }
@@ -109,6 +128,14 @@ class StreamEventBlock {
   [[nodiscard]] std::span<const std::uint32_t> deg_v() const noexcept {
     return {deg_v_.data(), size_};
   }
+  /// CSR slot of (u, v) (or Graph::kNoSlot), valid on edge rows; it
+  /// indexes a graph's arrays only when slots_index(that graph).
+  [[nodiscard]] std::span<const EdgeIndex> slot() const noexcept {
+    return {slot_.data(), size_};
+  }
+  /// True when this fill was started by clear(h) for an h sharing g's
+  /// storage, so slot() indexes g's CSR arrays.
+  [[nodiscard]] bool slots_index(const Graph& g) const noexcept;
   [[nodiscard]] std::span<const VertexId> vertex() const noexcept {
     return {vertex_.data(), size_};
   }
@@ -121,17 +148,25 @@ class StreamEventBlock {
   /// call, returned as is by later calls for the same graph and row
   /// count, reset by clear(). Its storage is allocated on the first call,
   /// so blocks whose readers never ask pay nothing. Like the rest of the
-  /// block, it is read by one thread at a time.
+  /// block, it is read by one thread at a time. When slots_index(g), each
+  /// value is first looked up in, and once computed stored to, g's
+  /// graph-wide codegree memo at the row's slot; otherwise every value is
+  /// computed.
   [[nodiscard]] std::span<const std::uint32_t> codegree(const Graph& g) const;
 
  private:
   std::vector<VertexId> u_;
   std::vector<VertexId> v_;
   std::vector<std::uint32_t> deg_v_;
+  std::vector<EdgeIndex> slot_;
   std::vector<VertexId> vertex_;
   std::vector<std::uint8_t> flags_;
   std::size_t size_ = 0;
   std::size_t cap_;
+  // neighbor_array().data() of the graph whose CSR slot_ indexes, set by
+  // clear(g); null when the slots index no graph. It names the storage,
+  // so every Graph copy over it matches.
+  const VertexId* slot_neighbors_ = nullptr;
   // codegree() memo: valid for the first codegree_rows_ rows when
   // computed against *codegree_graph_; clear() nulls the graph.
   mutable std::vector<std::uint32_t> codegree_;

@@ -50,9 +50,11 @@ class SamplerCursor {
   /// Clears `block`, advances up to min(max_steps, block.capacity())
   /// budgeted queries, appending one row per query, and returns the number
   /// taken (0 iff the cursor is exhausted or max_steps == 0). Every edge
-  /// row carries deg(v) in graph(). The cursor state, RNG stream, rows and
-  /// cost are independent of how a crawl is split into calls — batching
-  /// amortizes dispatch, it never reorders draws.
+  /// row carries deg(v) and the CSR slot of (u, v) in graph(), and the
+  /// fill starts with block.clear(graph()), so block.slots_index(graph())
+  /// holds. The cursor state, RNG stream, rows and cost are independent
+  /// of how a crawl is split into calls — batching amortizes dispatch, it
+  /// never reorders draws.
   virtual std::size_t next_batch(
       StreamEventBlock& block,
       std::size_t max_steps = std::numeric_limits<std::size_t>::max()) = 0;

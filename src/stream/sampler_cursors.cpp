@@ -123,7 +123,7 @@ void FrontierCursor::init_selection() {
 
 std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
                                        std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::uint64_t remaining = config_.steps - step_;
   const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
       std::min(max_steps, block.capacity()), remaining));
@@ -153,10 +153,11 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
       const std::size_t i = tree_.sample(rng);  // line 4: walker ∝ degree
       const VertexId u = frontier[i];
       const auto nbrs = g.neighbors(u);                      // line 5
-      const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
+      const std::size_t j = uniform_index(rng, nbrs.size());
+      const VertexId v = nbrs[j];
       const std::uint32_t dv = g.degree(v);
       warm(k, v);
-      block.push_edge(u, v, dv);                             // line 6
+      block.push_edge(u, v, dv, g.slot(u, j));               // line 6
       frontier[i] = v;
       tree_.set(i, static_cast<double>(dv));
     }
@@ -177,10 +178,11 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
       }
       const VertexId u = frontier[i];
       const auto nbrs = g.neighbors(u);
-      const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
+      const std::size_t j = uniform_index(rng, nbrs.size());
+      const VertexId v = nbrs[j];
       const std::uint32_t dv = g.degree(v);
       warm(step, v);
-      block.push_edge(u, v, dv);
+      block.push_edge(u, v, dv, g.slot(u, j));
       scan_total +=
           static_cast<double>(dv) - static_cast<double>(g.degree(u));
       frontier[i] = v;
@@ -264,7 +266,7 @@ SingleRwCursor::SingleRwCursor(const Graph& g, SingleRandomWalk::Config config,
 
 std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
                                        std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   const Graph& g = *graph_;
   const double laziness = config_.laziness;
@@ -289,8 +291,9 @@ std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
         want - taken, config_.steps - step_);
     for (std::uint64_t k = 0; k < n; ++k) {
       const auto nbrs = g.neighbors(u);
-      const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
-      block.push_edge(u, v, g.degree(v));
+      const std::size_t j = uniform_index(rng, nbrs.size());
+      const VertexId v = nbrs[j];
+      block.push_edge(u, v, g.degree(v), g.slot(u, j));
       u = v;
     }
     step_ += n;
@@ -301,8 +304,9 @@ std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
         block.push_empty();
       } else {
         const auto nbrs = g.neighbors(u);
-        const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
-        block.push_edge(u, v, g.degree(v));
+        const std::size_t j = uniform_index(rng, nbrs.size());
+        const VertexId v = nbrs[j];
+        block.push_edge(u, v, g.degree(v), g.slot(u, j));
         u = v;
       }
       ++step_;
@@ -387,7 +391,7 @@ MultipleRwCursor::MultipleRwCursor(const Graph& g,
 
 std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
                                          std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   const Graph& g = *graph_;
   Rng rng = rng_;
@@ -409,8 +413,9 @@ std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
     VertexId u = u_;
     for (std::uint64_t k = 0; k < n; ++k) {
       const auto nbrs = g.neighbors(u);
-      const VertexId v = nbrs[uniform_index(rng, nbrs.size())];
-      block.push_edge(u, v, g.degree(v));
+      const std::size_t j = uniform_index(rng, nbrs.size());
+      const VertexId v = nbrs[j];
+      block.push_edge(u, v, g.degree(v), g.slot(u, j));
       u = v;
     }
     u_ = u;
@@ -532,7 +537,7 @@ bool RwjCursor::pay_jump() {
 
 std::size_t RwjCursor::next_batch(StreamEventBlock& block,
                                   std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   std::size_t taken = 0;
   if (want != 0 && pending_vertex_) {
@@ -561,8 +566,9 @@ std::size_t RwjCursor::next_batch(StreamEventBlock& block,
     }
     cost_ += 1.0;
     const auto nbrs = g.neighbors(v_);
-    const VertexId w = nbrs[uniform_index(rng_, nbrs.size())];
-    block.push_edge_vertex(v_, w, g.degree(w), w);
+    const std::size_t j = uniform_index(rng_, nbrs.size());
+    const VertexId w = nbrs[j];
+    block.push_edge_vertex(v_, w, g.degree(w), g.slot(v_, j), w);
     v_ = w;
     ++taken;
   }
@@ -632,7 +638,7 @@ MetropolisCursor::MetropolisCursor(const Graph& g,
 
 std::size_t MetropolisCursor::next_batch(StreamEventBlock& block,
                                          std::size_t max_steps) {
-  block.clear();
+  block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   std::size_t taken = 0;
   if (want != 0 && pending_vertex_) {
@@ -651,12 +657,13 @@ std::size_t MetropolisCursor::next_batch(StreamEventBlock& block,
   std::uint32_t deg_v = g.degree(v);
   for (std::uint64_t k = 0; k < n; ++k) {
     const auto nbrs = g.neighbors(v);
-    const VertexId w = nbrs[uniform_index(rng, nbrs.size())];
+    const std::size_t j = uniform_index(rng, nbrs.size());
+    const VertexId w = nbrs[j];
     const std::uint32_t deg_w = g.degree(w);
     const double accept =
         static_cast<double>(deg_v) / static_cast<double>(deg_w);
     if (accept >= 1.0 || uniform01(rng) < accept) {
-      block.push_edge_vertex(v, w, deg_w, w);
+      block.push_edge_vertex(v, w, deg_w, g.slot(v, j), w);
       v = w;
       deg_v = deg_w;
     } else {

@@ -1,5 +1,6 @@
 #include "stream/sinks.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 #include "estimators/graph_moments.hpp"
@@ -113,25 +114,28 @@ void EdgeDensitySink::load_state(std::istream& is) {
 AssortativitySink::AssortativitySink(const Graph& g) : graph_(&g) {}
 
 void AssortativitySink::ingest_block(const StreamEventBlock& block) {
+  const Graph& g = *graph_;
+  if (!block.slots_index(g)) {
+    throw std::invalid_argument(
+        "AssortativitySink: the block's slots do not index the sink's graph");
+  }
   const VertexId* u = block.u().data();
   const VertexId* v = block.v().data();
-  const Graph& g = *graph_;
-  // Each row reads u's offsets, then u's adjacency row and direction
-  // flags (the directed-edge test), then out_degree[u] and in_degree[v]:
-  // independent misses per row, overlapped across rows by the pipeline.
+  const EdgeIndex* slot = block.slot().data();
+  // Each row reads the direction flag at the slot of (u, v), then
+  // out_degree[u] and in_degree[v]: independent misses per row,
+  // overlapped across rows by the pipeline.
   for_each_edge_row_prefetched(
       block,
       [&](std::size_t j) {
-        g.prefetch_offsets(u[j]);
+        g.prefetch_direction(slot[j]);
         g.prefetch_out_degree(u[j]);
         g.prefetch_in_degree(v[j]);
       },
-      [&](std::size_t j) {
-        g.prefetch_neighbors(u[j]);
-        g.prefetch_directions(u[j]);
-      },
+      [](std::size_t) {},
       [&](std::size_t i) {
-        if (!g.has_directed_edge(u[i], v[i])) return;  // unlabeled: skip
+        assert(slot[i] == g.find_slot(u[i], v[i]));
+        if (!g.is_forward(slot[i])) return;  // unlabeled: skip
         acc_.add(static_cast<double>(g.out_degree(u[i])),
                  static_cast<double>(g.in_degree(v[i])));
       });

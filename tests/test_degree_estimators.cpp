@@ -165,11 +165,13 @@ TEST(DegreeDistributionEstimator, BatchAndSinkMatchGoldenDigests) {
         // the sample.
         DegreeDistributionSink sink(*g, kind);
         StreamEventBlock block(61);
+        block.clear(*g);
         for (std::size_t i = 0; i < edges.size(); ++i) {
-          block.push_edge(edges[i].u, edges[i].v, g->degree(edges[i].v));
+          block.push_edge(edges[i].u, edges[i].v, g->degree(edges[i].v),
+                          g->find_slot(edges[i].u, edges[i].v));
           if (block.room() == 0 || i + 1 == edges.size()) {
             sink.ingest_block(block);
-            block.clear();
+            block.clear(*g);
           }
         }
         const std::vector<double> streamed = sink.distribution();

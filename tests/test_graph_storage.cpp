@@ -1,5 +1,6 @@
 // GraphStorage backends: owned-vs-mmap equivalence, v1 -> v2 migration,
-// storage sharing across Graph copies, and the parallel ingestion helpers.
+// storage sharing across Graph copies, the codegree memo shared by
+// concurrent crawls, and the parallel ingestion helpers.
 #include "graph/storage.hpp"
 
 #include <gtest/gtest.h>
@@ -7,15 +8,19 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "stream/spec.hpp"
 
 namespace frontier {
 namespace {
@@ -114,6 +119,100 @@ TEST(GraphStorage, CopiesShareStorageAndOutliveTheOriginal) {
   // The mapping must stay alive through the copy after `mapped` died.
   expect_identical(original, copy);
   std::filesystem::remove(path);
+}
+
+/// A memo entry is unknown until stored. Codegrees past kMaxCodegree are
+/// never stored, and slots past the end (kNoSlot among them) are never
+/// known and never written, so no slot reaches outside the memo.
+TEST(GraphStorage, CodegreeMemoLoadStoreAndBounds) {
+  CodegreeMemo memo(10);
+  EXPECT_EQ(memo.size(), 10u);
+  for (EdgeIndex s = 0; s < 10; ++s) EXPECT_EQ(memo.load(s), std::nullopt);
+  memo.store(0, 0);
+  memo.store(9, CodegreeMemo::kMaxCodegree);
+  memo.store(3, CodegreeMemo::kMaxCodegree + 1);
+  memo.store(10, 5);
+  memo.store(Graph::kNoSlot, 5);
+  EXPECT_EQ(memo.load(0), 0u);
+  EXPECT_EQ(memo.load(9), CodegreeMemo::kMaxCodegree);
+  EXPECT_EQ(memo.load(3), std::nullopt);
+  EXPECT_EQ(memo.load(10), std::nullopt);
+  EXPECT_EQ(memo.load(Graph::kNoSlot), std::nullopt);
+  const CodegreeMemo moved = std::move(memo);
+  EXPECT_EQ(moved.load(9), CodegreeMemo::kMaxCodegree);
+
+  const CodegreeMemo empty;
+  empty.store(0, 1);
+  EXPECT_EQ(empty.load(0), std::nullopt);
+
+  // A graph's memo has one entry per slot, allocated once per storage.
+  const Graph g = make_test_graph(18);
+  EXPECT_EQ(g.codegree_memo().size(), g.volume());
+  EXPECT_EQ(&g.codegree_memo(), &g.codegree_memo());
+  EXPECT_EQ(Graph().codegree_memo().size(), 0u);
+}
+
+/// A Graph over its own copy of g's arrays: equal to g, but with a
+/// storage, and so a codegree memo, of its own.
+Graph deep_copy(const Graph& g) {
+  GraphStorage::Arrays a;
+  a.offsets.assign(g.offsets().begin(), g.offsets().end());
+  a.neighbors.assign(g.neighbor_array().begin(), g.neighbor_array().end());
+  a.directions.assign(g.direction_array().begin(), g.direction_array().end());
+  a.out_degree.assign(g.out_degree_array().begin(),
+                      g.out_degree_array().end());
+  a.in_degree.assign(g.in_degree_array().begin(), g.in_degree_array().end());
+  a.num_directed_edges = g.num_directed_edges();
+  return Graph(GraphStorage::from_arrays(std::move(a)));
+}
+
+/// Serialized state of every sink after `spec`'s crawl of g completes.
+std::string crawl_state(const Graph& g, const CrawlSpec& spec) {
+  const auto engine = spec.normalized().make_engine(g);
+  engine->run_to_completion();
+  std::ostringstream os;
+  for (const auto& sink : engine->sinks()) sink->save_state(os);
+  return os.str();
+}
+
+/// Four threads crawl one shared Graph at once, so their blocks read and
+/// write one codegree memo (and the memo is allocated under the race).
+/// Every crawl's sink state equals a single-thread crawl's, both on the
+/// graph whose memo the threads warmed and on a copy whose memo is cold.
+TEST(GraphStorage, ConcurrentCrawlsShareTheCodegreeMemo) {
+  Rng rng(17);
+  const Graph g = directed_preferential(1500, 4, 0.4, rng);
+  std::vector<CrawlSpec> specs;
+  for (const std::string& method : CrawlSpec::methods()) {
+    specs.push_back(CrawlSpec{.method = method,
+                              .budget = 20000.0,
+                              .dimension = 20,
+                              .seed = specs.size() + 3});
+  }
+  constexpr std::size_t kThreads = 4;
+  // Thread t runs every spec, starting at spec t, so each spec is crawled
+  // by several threads at the same time.
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    got[t].resize(specs.size());
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::size_t s = (t + i) % specs.size();
+        got[t][s] = crawl_state(g, specs[s]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  ASSERT_NE(&deep_copy(g).codegree_memo(), &g.codegree_memo());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const std::string warm = crawl_state(g, specs[s]);
+    EXPECT_EQ(crawl_state(deep_copy(g), specs[s]), warm) << specs[s].method;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[t][s], warm) << specs[s].method << " thread " << t;
+    }
+  }
 }
 
 TEST(ParallelIngestion, ThreadCountDoesNotChangeTheParsedGraph) {

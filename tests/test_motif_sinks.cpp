@@ -67,9 +67,10 @@ void feed_slots(const Graph& g, const std::vector<EstimatorSink*>& sinks,
                 std::size_t k, bool mixed) {
   const std::vector<Edge> slots = all_slots(g);
   StreamEventBlock block(k);
+  block.clear(g);
   const auto flush = [&] {
     for (EstimatorSink* sink : sinks) sink->ingest_block(block);
-    block.clear();
+    block.clear(g);
   };
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (block.room() == 0) flush();
@@ -78,7 +79,8 @@ void feed_slots(const Graph& g, const std::vector<EstimatorSink*>& sinks,
     } else if (mixed && i % 17 == 11) {
       block.push_empty();
     } else {
-      block.push_edge(slots[i].u, slots[i].v, g.degree(slots[i].v));
+      block.push_edge(slots[i].u, slots[i].v, g.degree(slots[i].v),
+                      g.find_slot(slots[i].u, slots[i].v));
     }
   }
   flush();

@@ -1,9 +1,10 @@
 // Batched stepping contract: for every cursor, the emitted event sequence,
 // the degree column, the starts, the cost and the final RNG state do not
 // depend on the block size K (including K=1) and match golden digests; every
-// sink's serialized state is independent of K; the block's codegree column
-// holds f(u, v) of the current fill; and a checkpoint taken mid-block
-// resumes into the same final state as an uninterrupted K=1 run.
+// sink's serialized state is independent of K; every edge row's slot is
+// the CSR slot of (u, v); the block's codegree column holds f(u, v) of the
+// current fill, through the graph-wide memo or not; and a checkpoint taken
+// mid-block resumes into the same final state as an uninterrupted K=1 run.
 #include "stream/block.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <bit>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -50,13 +52,25 @@ struct EventRec {
   VertexId vertex = kInvalidVertex;
 };
 
+/// Asserts that row i's slot is the CSR slot of its edge (u, v) in g: it
+/// lies in u's row and holds v.
+void expect_slot_of_edge(const Graph& g, const StreamEventBlock& block,
+                         std::size_t i) {
+  const VertexId u = block.u()[i];
+  const EdgeIndex slot = block.slot()[i];
+  ASSERT_GE(slot, g.offsets()[u]) << "slot column row " << i;
+  ASSERT_LT(slot, g.offsets()[u + 1]) << "slot column row " << i;
+  EXPECT_EQ(g.neighbor_array()[slot], block.v()[i]) << "slot column row " << i;
+}
+
 /// Drains via next_batch with block capacity K, also asserting the degree
-/// column invariant on every edge row.
+/// and slot column invariants on every edge row.
 std::vector<EventRec> collect_batched(SamplerCursor& cursor, std::size_t k) {
   std::vector<EventRec> out;
   StreamEventBlock block(k);
   while (cursor.next_batch(block) > 0) {
     EXPECT_LE(block.size(), k);
+    EXPECT_TRUE(block.slots_index(cursor.graph()));
     for (std::size_t i = 0; i < block.size(); ++i) {
       EventRec rec;
       rec.has_edge = (block.flags()[i] & StreamEventBlock::kHasEdge) != 0;
@@ -65,6 +79,7 @@ std::vector<EventRec> collect_batched(SamplerCursor& cursor, std::size_t k) {
         rec.edge = Edge{block.u()[i], block.v()[i]};
         EXPECT_EQ(block.deg_v()[i], cursor.graph().degree(block.v()[i]))
             << "degree column row " << i;
+        expect_slot_of_edge(cursor.graph(), block, i);
       }
       if (rec.has_vertex) rec.vertex = block.vertex()[i];
       out.push_back(rec);
@@ -446,17 +461,89 @@ TEST(StreamBatch, CodegreeColumnFollowsTheFill) {
   ASSERT_EQ(cursor.next_batch(block), 64u);
   expect_codegree_column(g, block);
   // Rows appended after a call are covered by the next call.
-  block.clear();
-  block.push_edge(0, 1, g.degree(1));
+  const auto push = [&](const Edge& e) {
+    block.push_edge(e.u, e.v, g.degree(e.v), g.find_slot(e.u, e.v));
+  };
+  block.clear(g);
+  push(g.edge_at(0));
   expect_codegree_column(g, block);
-  block.push_edge(1, 2, g.degree(2));
+  push(g.edge_at(g.volume() / 2));
   block.push_vertex(3);
   expect_codegree_column(g, block);
-  // Another graph gets its own values, not the memo of the first.
+  // A non-edge row carries kNoSlot: its value is computed and never
+  // stored, so a later read of g's memo sees nothing there.
+  Edge far{0, static_cast<VertexId>(g.num_vertices() - 1)};
+  while (g.has_edge(far.u, far.v)) --far.v;
+  push(far);
+  EXPECT_EQ(block.slot().back(), Graph::kNoSlot);
+  expect_codegree_column(g, block);
+  EXPECT_EQ(g.codegree_memo().load(Graph::kNoSlot), std::nullopt);
+  // Another graph gets its own values, not the memo of the first: its
+  // storage differs, so the slots do not index it.
   Rng rng(35);
   const Graph other = barabasi_albert(g.num_vertices(), 5, rng);
+  EXPECT_FALSE(block.slots_index(other));
   expect_codegree_column(other, block);
   expect_codegree_column(g, block);
+}
+
+/// The graph-wide memo holds f at the slot of every sampled edge (all with
+/// f <= kMaxCodegree here) and nothing else; copies of the graph share it, so a block
+/// filled from one copy reads the memo another copy's reader wrote.
+TEST(StreamBatch, CodegreeMemoHoldsSampledSlots) {
+  const Graph g = test_graph();
+  const Graph copy = g;
+  EXPECT_EQ(g.codegree_memo().size(), g.volume());
+  EXPECT_EQ(&copy.codegree_memo(), &g.codegree_memo());
+  std::vector<bool> sampled(g.volume(), false);
+  for (const std::size_t k : kBatchSizes) {
+    FrontierCursor fs(g, FrontierSampler::Config{.dimension = 8, .steps = 2000},
+                      Rng(36));
+    SamplerCursor& cursor = fs;
+    StreamEventBlock block(k);
+    while (cursor.next_batch(block) > 0) {
+      EXPECT_TRUE(block.slots_index(copy));
+      // Read through the copy: the memo is the storage's, not the Graph's.
+      expect_codegree_column(copy, block);
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        sampled[block.slot()[i]] = true;
+      }
+    }
+  }
+  const CodegreeMemo& memo = g.codegree_memo();
+  std::size_t hits = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (std::size_t j = 0; j < g.degree(u); ++j) {
+      const EdgeIndex s = g.slot(u, j);
+      const std::uint32_t f = shared_neighbors(g, u, g.neighbor(u, j));
+      if (sampled[s]) {
+        ASSERT_LE(f, CodegreeMemo::kMaxCodegree);
+        EXPECT_EQ(memo.load(s), f) << "slot " << s;
+        ++hits;
+      } else {
+        EXPECT_EQ(memo.load(s), std::nullopt) << "unsampled slot " << s;
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
+}
+
+/// In K_300 every codegree is 298, past CodegreeMemo::kMaxCodegree: each
+/// value is computed on every fill and the memo stays empty.
+TEST(StreamBatch, CodegreeAbove254IsNeverMemoised) {
+  const Graph g = complete_graph(300);
+  for (const std::size_t k : kBatchSizes) {
+    FrontierCursor fs(g, FrontierSampler::Config{.dimension = 4, .steps = 3000},
+                      Rng(37));
+    SamplerCursor& cursor = fs;
+    StreamEventBlock block(k);
+    while (cursor.next_batch(block) > 0) {
+      for (const std::uint32_t f : block.codegree(g)) EXPECT_EQ(f, 298u);
+    }
+  }
+  for (EdgeIndex s = 0; s < g.volume(); ++s) {
+    EXPECT_EQ(g.codegree_memo().load(s), std::nullopt) << "slot " << s;
+  }
 }
 
 // --------------------------------------------------------------- drains
@@ -493,7 +580,7 @@ TEST(StreamBatch, BlockCapacityValidation) {
   StreamEventBlock block(4);
   EXPECT_EQ(block.capacity(), 4u);
   EXPECT_TRUE(block.empty());
-  block.push_edge(1, 2, 3);
+  block.push_edge(1, 2, 3, 4);
   EXPECT_EQ(block.size(), 1u);
   EXPECT_EQ(block.room(), 3u);
   block.clear();

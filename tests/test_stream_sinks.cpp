@@ -30,17 +30,19 @@ Graph test_graph() {
 
 // Streams a batch record's observations straight into a sink through
 // blocks, so sink output can be compared against the batch estimator over
-// the identical sequence. Edge rows carry deg(v) in g, as a cursor's do.
+// the identical sequence. Edge rows carry deg(v) and the CSR slot of
+// (u, v) in g, as a cursor's do.
 void feed(EstimatorSink& sink, const Graph& g, std::span<const Edge> edges,
           std::span<const VertexId> vertices = {}) {
   StreamEventBlock block(256);
+  block.clear(g);
   const auto flush = [&] {
     sink.ingest_block(block);
-    block.clear();
+    block.clear(g);
   };
   for (const Edge& e : edges) {
     if (block.room() == 0) flush();
-    block.push_edge(e.u, e.v, g.degree(e.v));
+    block.push_edge(e.u, e.v, g.degree(e.v), g.find_slot(e.u, e.v));
   }
   for (const VertexId v : vertices) {
     if (block.room() == 0) flush();
@@ -109,6 +111,28 @@ TEST(StreamSinks, AssortativityMatchesBatch) {
   AssortativitySink sink(g);
   feed(sink, g, rec.edges);
   EXPECT_EQ(estimate_assortativity(g, rec.edges), sink.value());
+}
+
+/// The sink reads each row's direction flag at its slot, so it takes only
+/// blocks whose slots index its graph; a non-edge row (kNoSlot) is
+/// unlabeled and skipped.
+TEST(StreamSinks, AssortativityReadsOnlyItsGraphsSlots) {
+  const Graph g = test_graph();
+  Rng rng(12);
+  const Graph other = directed_preferential(g.num_vertices(), 3, 0.4, rng);
+  const Edge e = g.edge_at(0);
+  StreamEventBlock block(4);
+  block.clear(other);
+  block.push_edge(e.u, e.v, g.degree(e.v), g.find_slot(e.u, e.v));
+  AssortativitySink sink(g);
+  EXPECT_THROW(sink.ingest_block(block), std::invalid_argument);
+
+  Edge far{0, static_cast<VertexId>(g.num_vertices() - 1)};
+  while (g.has_edge(far.u, far.v)) --far.v;
+  block.clear(g);
+  block.push_edge(far.u, far.v, g.degree(far.v), g.find_slot(far.u, far.v));
+  sink.ingest_block(block);
+  EXPECT_EQ(sink.labeled_count(), 0u);
 }
 
 TEST(StreamSinks, GraphMomentsMatchBatch) {

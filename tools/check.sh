@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command local gate: configure, build everything, run ctest, then
-# rebuild the library with -Wall -Wextra -Werror to keep it warning-clean.
+# rebuild the library and the tools with -Wall -Wextra -Werror to keep
+# them warning-clean.
 #
 #   tools/check.sh [build-dir] [--sanitize] [--tsan] [--tidy]
 #   (default: build)
@@ -46,16 +47,17 @@ echo "== ctest"
 # property (the CLI cases): a hung walker fails in minutes, not hours.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" --timeout 120
 
-echo "== warning-clean library build (-Wall -Wextra -Werror)"
+echo "== warning-clean library + tools build (-Wall -Wextra -Werror)"
 STRICT_DIR="${BUILD_DIR}-strict"
 cmake -B "$STRICT_DIR" -S . \
   -DFRONTIER_WERROR=ON \
   -DFRONTIER_BUILD_TESTS=OFF \
   -DFRONTIER_BUILD_BENCH=OFF \
   -DFRONTIER_BUILD_EXAMPLES=OFF \
-  -DFRONTIER_BUILD_TOOLS=OFF \
+  -DFRONTIER_BUILD_TOOLS=ON \
   >/dev/null
-cmake --build "$STRICT_DIR" -j "$JOBS" --target frontier
+cmake --build "$STRICT_DIR" -j "$JOBS" --target frontier frontier_cli \
+  frontier_serve frontier_lint
 
 if [ "$SANITIZE" -eq 1 ]; then
   echo "== sanitize build + tests (ASan + UBSan)"
