@@ -9,12 +9,16 @@ EdgeIndex Graph::find_slot(VertexId u, VertexId v) const noexcept {
   if (u >= num_vertices() || v >= num_vertices()) return kNoSlot;
   const auto nbrs = neighbors(u);
   const std::size_t k = lower_bound_index(nbrs, v);
-  return k < nbrs.size() && nbrs[k] == v ? slot(u, k) : kNoSlot;
+  return k < nbrs.size() && nbrs[k] == v ? offsets_[u] + k : kNoSlot;
 }
 
 const CodegreeMemo& Graph::codegree_memo() const {
   static const CodegreeMemo kEmpty;
   return storage_ == nullptr ? kEmpty : storage_->codegree_memo();
+}
+
+std::span<const Hop> Graph::hop_table() const {
+  return storage_ == nullptr ? std::span<const Hop>{} : storage_->hop_table();
 }
 
 bool Graph::has_edge(VertexId u, VertexId v) const noexcept {

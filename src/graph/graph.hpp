@@ -95,12 +95,6 @@ class Graph {
   /// Returned by find_slot when (u, v) is not in E.
   static constexpr EdgeIndex kNoSlot = ~EdgeIndex{0};
 
-  /// CSR slot of v's k-th neighbour: the index of neighbor(v, k) in
-  /// neighbor_array() and of its flag in direction_array() (unchecked).
-  [[nodiscard]] EdgeIndex slot(VertexId v, std::size_t k) const noexcept {
-    return offsets_[v] + k;
-  }
-
   /// CSR slot of the adjacency (u, v), found by a branchless search of
   /// u's row, or kNoSlot when (u, v) is not in E. O(log deg(u)).
   [[nodiscard]] EdgeIndex find_slot(VertexId u, VertexId v) const noexcept;
@@ -114,6 +108,43 @@ class Graph {
     return d == EdgeDir::kForward || d == EdgeDir::kBoth;
   }
 
+  /// A walker's place in the CSR: the first slot of its vertex's row and
+  /// the vertex's degree. A step from it takes slot
+  /// begin + uniform_index(degree).
+  struct Row {
+    EdgeIndex begin = 0;
+    std::uint32_t degree = 0;
+  };
+
+  /// The row of v, from its CSR offsets.
+  [[nodiscard]] Row row(VertexId v) const noexcept {
+    return {offsets_[v], degree(v)};
+  }
+
+  /// The vertex slot s holds: neighbor_array()[s] (unchecked).
+  [[nodiscard]] VertexId target(EdgeIndex s) const noexcept {
+    return neighbors_[s];
+  }
+
+  /// The storage's hop table (GraphStorage::hop_table), shared by every
+  /// copy of this Graph and built by the first call; empty below
+  /// GraphStorage::kHopTableMinCsrBytes, for a mapped snapshot and for a
+  /// default-constructed graph. Walk cursors fetch it once per batch and
+  /// pass it to hop().
+  [[nodiscard]] std::span<const Hop> hop_table() const;
+
+  /// The row of target(s), the vertex a step through slot s reaches:
+  /// from `hops` (this graph's hop_table()) when it is built, in a load
+  /// that does not wait for target(s), else from the CSR offsets after
+  /// it. Both give the same pair, since only owned storage, whose ids are
+  /// checked, has a table; the branch goes the same way for every call on
+  /// one graph.
+  [[gnu::always_inline]] Row hop(std::span<const Hop> hops,
+                                 EdgeIndex s) const noexcept {
+    if (!hops.empty()) return {hops[s].row, hops[s].degree};
+    return row(neighbors_[s]);
+  }
+
   /// The graph-wide codegree memo of the storage, shared by every copy of
   /// this Graph (GraphStorage::codegree_memo); allocated by the first
   /// call. Empty for a default-constructed graph.
@@ -125,13 +156,9 @@ class Graph {
   // prefetch_line() below is the one place the compiler builtin appears
   // (frontier_lint's prefetch-in-graph rule keeps it that way).
 
-  /// v's adjacency range. The batched FS cursor calls this for the vertex
-  /// a walker just moved to: that walker will not be stepped again for ~m
-  /// steps, which is exactly the latency window a prefetch needs, so when
-  /// the walker is next selected its neighbor list is already cached
-  /// instead of costing a serial main-memory access — the dominant cost
-  /// of a walk step on large graphs. Reads v's offsets, so it stalls
-  /// unless prefetch_offsets(v) ran a while earlier.
+  /// v's adjacency range: the first and last line of its neighbour ids.
+  /// Reads v's offsets, so it stalls unless prefetch_offsets(v) ran a
+  /// while earlier.
   [[gnu::always_inline]] void prefetch_neighbors(VertexId v) const noexcept {
     const std::uint64_t b = offsets_[v];
     const std::uint64_t e = offsets_[v + 1];
@@ -140,26 +167,20 @@ class Graph {
     prefetch_line(neighbors_.data() + e - 1);
   }
 
-  /// Rows longer than this are skipped by prefetch_neighbor_offsets.
-  static constexpr std::uint64_t kNeighborOffsetsPrefetchMaxDegree = 16;
-
-  /// The CSR offsets line of every neighbour of v, i.e. deg(w) for
-  /// whichever w a step from v picks, when deg(v) is at most
-  /// kNeighborOffsetsPrefetchMaxDegree. Such a row spans at most two
-  /// lines, the two prefetch_neighbors(v) requests, so reading it does not
-  /// stall once those have landed; a longer row would, and would cost
-  /// more prefetches than the one hit saves. The FS cursor
-  /// does so 16 steps after a walker reaches v: when that walker is next
-  /// picked, the degree its Fenwick update waits on is a cache hit
-  /// instead of the serial miss that otherwise gates the next pick.
-  [[gnu::always_inline]] void prefetch_neighbor_offsets(
-      VertexId v) const noexcept {
-    const std::uint64_t b = offsets_[v];
-    const std::uint64_t e = offsets_[v + 1];
-    if (e - b > kNeighborOffsetsPrefetchMaxDegree) return;
-    for (std::uint64_t j = b; j < e; ++j) {
-      prefetch_line(offsets_.data() + neighbors_[j]);
-    }
+  /// What the next step from row r reads: the first and last line of its
+  /// neighbour ids and, when `hops` (this graph's hop_table()) is built,
+  /// of its hop entries. Reads nothing, so it never stalls. The FS cursor
+  /// calls it when a walker arrives: that walker is next picked ~Σdeg /
+  /// deg steps later, so its slot and hop entry are then cache hits.
+  [[gnu::always_inline]] void prefetch_row(std::span<const Hop> hops,
+                                           Row r) const noexcept {
+    if (r.degree == 0) return;
+    const EdgeIndex last = r.begin + r.degree - 1;
+    prefetch_line(neighbors_.data() + r.begin);
+    prefetch_line(neighbors_.data() + last);
+    if (hops.empty()) return;
+    prefetch_line(hops.data() + r.begin);
+    prefetch_line(hops.data() + last);
   }
 
   /// v's two CSR offsets, the first link of every adjacency lookup.

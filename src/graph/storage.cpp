@@ -1,5 +1,6 @@
 #include "graph/storage.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "graph/io.hpp"
@@ -82,6 +83,28 @@ const CodegreeMemo& GraphStorage::codegree_memo() const {
   std::call_once(memo_once_,
                  [this] { memo_ = CodegreeMemo(views_.neighbors.size()); });
   return memo_;
+}
+
+std::span<const Hop> GraphStorage::hop_table() const {
+  std::call_once(hop_once_, [this] {
+    const std::span<const EdgeIndex> offsets = views_.offsets;
+    const std::span<const VertexId> neighbors = views_.neighbors;
+    if (mapped_ ||
+        offsets.size_bytes() + neighbors.size_bytes() <=
+            kHopTableMinCsrBytes ||
+        neighbors.size() > std::numeric_limits<std::uint32_t>::max()) {
+      return;
+    }
+    auto hops = std::make_unique_for_overwrite<Hop[]>(neighbors.size());
+    for (std::size_t s = 0; s < neighbors.size(); ++s) {
+      const VertexId w = neighbors[s];
+      hops[s] = {static_cast<std::uint32_t>(offsets[w]),
+                 static_cast<std::uint32_t>(offsets[w + 1] - offsets[w])};
+    }
+    hop_view_ = {hops.get(), neighbors.size()};
+    hops_ = std::move(hops);
+  });
+  return hop_view_;
 }
 
 std::shared_ptr<const GraphStorage> GraphStorage::from_arrays(Arrays arrays) {

@@ -10,9 +10,9 @@
 // Graphs share storage by shared_ptr, so copying a Graph is cheap and a
 // mapped file stays alive exactly as long as some Graph views it.
 //
-// Besides the immutable arrays, a storage owns one mutable side table,
-// the codegree memo (codegree_memo() below), which every Graph copy,
-// engine and thread over the storage shares.
+// Besides the immutable arrays, a storage owns two side tables that every
+// Graph copy, engine and thread over the storage shares: the codegree memo
+// (codegree_memo() below) and the walks' hop table (hop_table()).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +33,13 @@
 #endif
 
 namespace frontier {
+
+/// One hop table entry (GraphStorage::hop_table): the CSR row of the
+/// vertex w held by a slot, i.e. offsets[w] and deg(w).
+struct Hop {
+  std::uint32_t row = 0;
+  std::uint32_t degree = 0;
+};
 
 /// Move-only RAII wrapper over a read-only memory-mapped file.
 /// On platforms without mmap, open() always throws.
@@ -102,6 +109,23 @@ class GraphStorage {
   /// that asks pays only for the pages it writes.
   [[nodiscard]] const CodegreeMemo& codegree_memo() const;
 
+  /// A walk's CSR footprint (offsets plus neighbour ids, in bytes) above
+  /// which hop_table() builds a table: one core's L2 on the reference
+  /// host. Below it the CSR stays cached, a step's offsets load is a hit,
+  /// and a table would only cost memory.
+  static constexpr std::uint64_t kHopTableMinCsrBytes = std::uint64_t{2}
+                                                        << 20;
+
+  /// The hop table: entry s is {offsets[w], deg(w)} for w =
+  /// views().neighbors[s], so a walk step reads its next row beside the
+  /// neighbour id instead of after it. Built by the first call, on the
+  /// calling thread in one O(slots) pass (8 bytes per slot), while any
+  /// other caller waits. Only owned storage whose CSR footprint exceeds
+  /// kHopTableMinCsrBytes and whose slot indices fit 32 bits gets one;
+  /// for the rest, mapped snapshots included, it is empty, so a mapped
+  /// crawl keeps touching only the pages it visits. Never serialized.
+  [[nodiscard]] std::span<const Hop> hop_table() const;
+
  private:
   GraphStorage() = default;
 
@@ -111,6 +135,9 @@ class GraphStorage {
   bool mapped_ = false;
   mutable std::once_flag memo_once_;
   mutable CodegreeMemo memo_;  // assigned under memo_once_
+  mutable std::once_flag hop_once_;
+  mutable std::unique_ptr<Hop[]> hops_;  // assigned under hop_once_
+  mutable std::span<const Hop> hop_view_;  // likewise; empty: no table
 };
 
 }  // namespace frontier

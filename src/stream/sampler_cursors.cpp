@@ -107,16 +107,20 @@ FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
 
 void FrontierCursor::init_selection() {
   const Graph& g = *graph_;
+  rows_.resize(frontier_.size());
+  for (std::size_t i = 0; i < frontier_.size(); ++i) {
+    rows_[i] = g.row(frontier_[i]);
+  }
   if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
-    std::vector<double> weights(frontier_.size());
-    for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      weights[i] = static_cast<double>(g.degree(frontier_[i]));
+    std::vector<double> weights(rows_.size());
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      weights[i] = static_cast<double>(rows_[i].degree);
     }
     tree_ = WeightedTree{std::span<const double>(weights)};
   } else {
     scan_total_ = 0.0;
-    for (VertexId v : frontier_) {
-      scan_total_ += static_cast<double>(g.degree(v));
+    for (const Graph::Row& r : rows_) {
+      scan_total_ += static_cast<double>(r.degree);
     }
   }
 }
@@ -129,63 +133,52 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
       std::min(max_steps, block.capacity()), remaining));
   if (want == 0) return 0;
   const Graph& g = *graph_;
+  const std::span<const Hop> hops = g.hop_table();
   Rng rng = rng_;  // hot state in locals; written back after the loop
   VertexId* frontier = frontier_.data();
+  Graph::Row* rows = rows_.data();
   const std::size_t m = config_.dimension;
-  // Warm what the moved walker's next step will wait on: the adjacency
-  // row of the vertex v it moved to, now, and, kWarmLag steps later when
-  // that row has landed, the degrees of v's neighbours, one of which the
-  // Fenwick update will read. `moved` holds the last kWarmLag moved-to
-  // vertices, seeded with walker positions so every slot is a vertex. A
-  // walker is next picked ~Σdeg/deg(v) steps after it moves, past both
-  // latencies. Hints only: no value or random draw changes.
-  constexpr std::size_t kWarmLag = 16;
-  std::array<VertexId, kWarmLag> moved;
-  for (std::size_t j = 0; j < kWarmLag; ++j) moved[j] = frontier[j % m];
-  const auto warm = [&g, &moved](std::size_t k, VertexId v) {
-    g.prefetch_neighbors(v);
-    VertexId& slot = moved[k % kWarmLag];
-    g.prefetch_neighbor_offsets(slot);
-    slot = v;
+  // One step of walker i: a uniform slot of its row, the vertex there and
+  // that vertex's row, read side by side. The moved walker's next step
+  // will read the new row's slot and hop entry; it is picked again ~Σdeg /
+  // deg steps later, so prefetching them now makes that step a cache hit.
+  // Hints only: no value or random draw changes.
+  const auto step = [&](std::size_t i) {
+    const VertexId u = frontier[i];
+    const Graph::Row r = rows[i];
+    const EdgeIndex s = r.begin + uniform_index(rng, r.degree);  // line 5
+    const VertexId v = g.target(s);
+    const Graph::Row next = g.hop(hops, s);
+    g.prefetch_row(hops, next);
+    block.push_edge(u, v, next.degree, s);  // line 6
+    frontier[i] = v;
+    rows[i] = next;
+    return r.degree;
   };
   if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
     for (std::size_t k = 0; k < want; ++k) {
       const std::size_t i = tree_.sample(rng);  // line 4: walker ∝ degree
-      const VertexId u = frontier[i];
-      const auto nbrs = g.neighbors(u);                      // line 5
-      const std::size_t j = uniform_index(rng, nbrs.size());
-      const VertexId v = nbrs[j];
-      const std::uint32_t dv = g.degree(v);
-      warm(k, v);
-      block.push_edge(u, v, dv, g.slot(u, j));               // line 6
-      frontier[i] = v;
-      tree_.set(i, static_cast<double>(dv));
+      step(i);
+      tree_.set(i, static_cast<double>(rows[i].degree));
     }
   } else {
     // Linear-scan selection: draw a threshold in [0, Σ deg) and walk the
     // frontier until the cumulative degree passes it.
     double scan_total = scan_total_;
-    for (std::size_t step = 0; step < want; ++step) {
+    for (std::size_t k = 0; k < want; ++k) {
       const double target = uniform01(rng) * scan_total;
       double acc = 0.0;
       std::size_t i = m - 1;
-      for (std::size_t k = 0; k < m; ++k) {
-        acc += static_cast<double>(g.degree(frontier[k]));
+      for (std::size_t j = 0; j < m; ++j) {
+        acc += static_cast<double>(rows[j].degree);
         if (target < acc) {
-          i = k;
+          i = j;
           break;
         }
       }
-      const VertexId u = frontier[i];
-      const auto nbrs = g.neighbors(u);
-      const std::size_t j = uniform_index(rng, nbrs.size());
-      const VertexId v = nbrs[j];
-      const std::uint32_t dv = g.degree(v);
-      warm(step, v);
-      block.push_edge(u, v, dv, g.slot(u, j));
-      scan_total +=
-          static_cast<double>(dv) - static_cast<double>(g.degree(u));
-      frontier[i] = v;
+      const std::uint32_t du = step(i);
+      scan_total += static_cast<double>(rows[i].degree) -
+                    static_cast<double>(du);
     }
     scan_total_ = scan_total;
   }
@@ -269,17 +262,25 @@ std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
   block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   const Graph& g = *graph_;
+  const std::span<const Hop> hops = g.hop_table();
   const double laziness = config_.laziness;
   Rng rng = rng_;
   VertexId u = u_;
+  Graph::Row r = g.row(u);
   std::size_t taken = 0;
+  // One move from (u, r): the slot taken, its vertex and that vertex's row.
+  const auto move = [&] {
+    const EdgeIndex s = r.begin + uniform_index(rng, r.degree);
+    u = g.target(s);
+    r = g.hop(hops, s);
+    return s;
+  };
   // Burn-in: budget spent, nothing recorded.
   while (burn_done_ < config_.burn_in && taken < want) {
     if (laziness > 0.0 && bernoulli(rng, laziness)) {
       // lazy stay
     } else {
-      const auto nbrs = g.neighbors(u);
-      u = nbrs[uniform_index(rng, nbrs.size())];
+      move();
     }
     block.push_empty();
     ++burn_done_;
@@ -290,11 +291,9 @@ std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
     const std::uint64_t n = std::min<std::uint64_t>(
         want - taken, config_.steps - step_);
     for (std::uint64_t k = 0; k < n; ++k) {
-      const auto nbrs = g.neighbors(u);
-      const std::size_t j = uniform_index(rng, nbrs.size());
-      const VertexId v = nbrs[j];
-      block.push_edge(u, v, g.degree(v), g.slot(u, j));
-      u = v;
+      const VertexId from = u;
+      const EdgeIndex s = move();
+      block.push_edge(from, u, r.degree, s);
     }
     step_ += n;
     taken += static_cast<std::size_t>(n);
@@ -303,11 +302,9 @@ std::size_t SingleRwCursor::next_batch(StreamEventBlock& block,
       if (bernoulli(rng, laziness)) {
         block.push_empty();
       } else {
-        const auto nbrs = g.neighbors(u);
-        const std::size_t j = uniform_index(rng, nbrs.size());
-        const VertexId v = nbrs[j];
-        block.push_edge(u, v, g.degree(v), g.slot(u, j));
-        u = v;
+        const VertexId from = u;
+        const EdgeIndex s = move();
+        block.push_edge(from, u, r.degree, s);
       }
       ++step_;
       ++taken;
@@ -394,6 +391,7 @@ std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
   block.clear(*graph_);
   const std::size_t want = std::min(max_steps, block.capacity());
   const Graph& g = *graph_;
+  const std::span<const Hop> hops = g.hop_table();
   Rng rng = rng_;
   std::size_t taken = 0;
   while (taken < want && walker_ < config_.num_walkers) {
@@ -411,11 +409,12 @@ std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
     const std::uint64_t n = std::min<std::uint64_t>(
         want - taken, config_.steps_per_walker - step_);
     VertexId u = u_;
+    Graph::Row r = g.row(u);
     for (std::uint64_t k = 0; k < n; ++k) {
-      const auto nbrs = g.neighbors(u);
-      const std::size_t j = uniform_index(rng, nbrs.size());
-      const VertexId v = nbrs[j];
-      block.push_edge(u, v, g.degree(v), g.slot(u, j));
+      const EdgeIndex s = r.begin + uniform_index(rng, r.degree);
+      const VertexId v = g.target(s);
+      r = g.hop(hops, s);
+      block.push_edge(u, v, r.degree, s);
       u = v;
     }
     u_ = u;
@@ -513,7 +512,7 @@ void RwjCursor::init() {
     throw std::invalid_argument("RwjCursor: hit_ratio in (0,1]");
   }
   // Initial placement is one paid jump.
-  if (!pay_jump()) {
+  if (!pay_jump(rng_, cost_)) {
     done_ = true;
     return;
   }
@@ -522,16 +521,15 @@ void RwjCursor::init() {
   pending_vertex_ = v_;
 }
 
-bool RwjCursor::pay_jump() {
-  const std::uint64_t misses =
-      geometric_failures(rng_, config_.cost.hit_ratio);
+bool RwjCursor::pay_jump(Rng& rng, double& cost) const {
+  const std::uint64_t misses = geometric_failures(rng, config_.cost.hit_ratio);
   const double streak =
       static_cast<double>(misses + 1) * config_.cost.jump_cost;
-  if (cost_ + streak > config_.budget) {
-    cost_ = config_.budget;
+  if (cost + streak > config_.budget) {
+    cost = config_.budget;
     return false;
   }
-  cost_ += streak;
+  cost += streak;
   return true;
 }
 
@@ -547,31 +545,41 @@ std::size_t RwjCursor::next_batch(StreamEventBlock& block,
   }
   if (done_) return taken;
   const Graph& g = *graph_;
+  const std::span<const Hop> hops = g.hop_table();
   const bool jumps = config_.jump_probability > 0.0;
   const double budget = config_.budget;
+  // Hot state in locals; written back after the loop.
+  Rng rng = rng_;
+  VertexId v = v_;
+  double cost = cost_;
+  Graph::Row r = g.row(v);
   while (taken < want) {
-    if (jumps && bernoulli(rng_, config_.jump_probability)) {
-      if (!pay_jump()) {
+    if (jumps && bernoulli(rng, config_.jump_probability)) {
+      if (!pay_jump(rng, cost)) {
         done_ = true;
-        return taken;
+        break;
       }
-      v_ = start_sampler_->sample(rng_);
-      block.push_vertex(v_);
+      v = start_sampler_->sample(rng);
+      r = g.row(v);
+      block.push_vertex(v);
       ++taken;
       continue;
     }
-    if (cost_ + 1.0 > budget) {
+    if (cost + 1.0 > budget) {
       done_ = true;
-      return taken;
+      break;
     }
-    cost_ += 1.0;
-    const auto nbrs = g.neighbors(v_);
-    const std::size_t j = uniform_index(rng_, nbrs.size());
-    const VertexId w = nbrs[j];
-    block.push_edge_vertex(v_, w, g.degree(w), g.slot(v_, j), w);
-    v_ = w;
+    cost += 1.0;
+    const EdgeIndex s = r.begin + uniform_index(rng, r.degree);
+    const VertexId w = g.target(s);
+    r = g.hop(hops, s);
+    block.push_edge_vertex(v, w, r.degree, s, w);
+    v = w;
     ++taken;
   }
+  rng_ = rng;
+  v_ = v;
+  cost_ = cost;
   return taken;
 }
 
@@ -650,22 +658,22 @@ std::size_t MetropolisCursor::next_batch(StreamEventBlock& block,
       want - taken, config_.steps - step_);
   if (n == 0) return taken;
   const Graph& g = *graph_;
+  const std::span<const Hop> hops = g.hop_table();
   Rng rng = rng_;
   VertexId v = v_;
-  // deg(v) carried across iterations: on accept it is the just-fetched
-  // deg(w), so the steady state does one degree lookup per proposal.
-  std::uint32_t deg_v = g.degree(v);
+  // v's row carried across iterations: on accept it is the proposal's
+  // row, read beside w, so a proposal waits on one dependent load.
+  Graph::Row r = g.row(v);
   for (std::uint64_t k = 0; k < n; ++k) {
-    const auto nbrs = g.neighbors(v);
-    const std::size_t j = uniform_index(rng, nbrs.size());
-    const VertexId w = nbrs[j];
-    const std::uint32_t deg_w = g.degree(w);
+    const EdgeIndex s = r.begin + uniform_index(rng, r.degree);
+    const VertexId w = g.target(s);
+    const Graph::Row next = g.hop(hops, s);
     const double accept =
-        static_cast<double>(deg_v) / static_cast<double>(deg_w);
+        static_cast<double>(r.degree) / static_cast<double>(next.degree);
     if (accept >= 1.0 || uniform01(rng) < accept) {
-      block.push_edge_vertex(v, w, deg_w, g.slot(v, j), w);
+      block.push_edge_vertex(v, w, next.degree, s, w);
       v = w;
-      deg_v = deg_w;
+      r = next;
     } else {
       block.push_vertex(v);
     }

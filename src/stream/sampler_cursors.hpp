@@ -76,6 +76,7 @@ class FrontierCursor final : public SamplerCursor {
   const Graph* graph_;
   FrontierSampler::Config config_;
   std::vector<VertexId> frontier_;
+  std::vector<Graph::Row> rows_;  // rows_[i] = row of frontier_[i]
   std::vector<VertexId> starts_;
   WeightedTree tree_;      // kWeightedTree: Fenwick over walker degrees
   double scan_total_ = 0;  // kLinearScan: running Σ deg over the frontier
@@ -203,7 +204,9 @@ class RwjCursor final : public SamplerCursor {
   void load_state(std::istream& is) override;
 
  private:
-  [[nodiscard]] bool pay_jump();
+  /// Draws one jump's retry streak and adds its cost to `cost`; false,
+  /// with `cost` set to the budget, when the budget cannot pay it.
+  [[nodiscard]] bool pay_jump(Rng& rng, double& cost) const;
   void init();
 
   const Graph* graph_;

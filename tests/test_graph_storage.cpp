@@ -1,6 +1,8 @@
 // GraphStorage backends: owned-vs-mmap equivalence, v1 -> v2 migration,
 // storage sharing across Graph copies, the codegree memo shared by
-// concurrent crawls, and the parallel ingestion helpers.
+// concurrent crawls, the walks' hop table (its entries, its threshold and
+// its one build under concurrent first use), and the parallel ingestion
+// helpers.
 #include "graph/storage.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -212,6 +215,134 @@ TEST(GraphStorage, ConcurrentCrawlsShareTheCodegreeMemo) {
     for (std::size_t t = 0; t < kThreads; ++t) {
       EXPECT_EQ(got[t][s], warm) << specs[s].method << " thread " << t;
     }
+  }
+}
+
+/// A BA graph whose walk footprint (offsets plus neighbour ids, ~3.2 MB)
+/// is above GraphStorage::kHopTableMinCsrBytes.
+Graph make_large_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  return barabasi_albert(100000, 3, rng);
+}
+
+/// Every entry of g's hop table is the CSR row of the vertex its slot
+/// holds, and Graph::hop gives that row with or without the table.
+void expect_hops_match_csr(const Graph& g) {
+  const std::span<const Hop> hops = g.hop_table();
+  ASSERT_EQ(hops.size(), g.volume());
+  const auto offsets = g.offsets();
+  for (EdgeIndex s = 0; s < g.volume(); ++s) {
+    const VertexId w = g.target(s);
+    ASSERT_EQ(hops[s].row, offsets[w]) << "slot " << s;
+    ASSERT_EQ(hops[s].degree, g.degree(w)) << "slot " << s;
+    const Graph::Row via_table = g.hop(hops, s);
+    const Graph::Row via_csr = g.hop({}, s);
+    ASSERT_EQ(via_table.begin, offsets[w]) << "slot " << s;
+    ASSERT_EQ(via_table.degree, g.degree(w)) << "slot " << s;
+    ASSERT_EQ(via_csr.begin, via_table.begin) << "slot " << s;
+    ASSERT_EQ(via_csr.degree, via_table.degree) << "slot " << s;
+  }
+}
+
+TEST(GraphStorage, HopTableHoldsEachSlotsTargetRow) {
+  const Graph g = make_large_graph(21);
+  ASSERT_GT(g.offsets().size_bytes() + g.neighbor_array().size_bytes(),
+            GraphStorage::kHopTableMinCsrBytes);
+  expect_hops_match_csr(g);
+
+  // A mapped snapshot of the same graph builds no table, so its first
+  // step touches only the pages it visits; Graph::hop reads its CSR.
+  const std::string path = ::testing::TempDir() + "storage_hops.bin";
+  write_binary_file(g, path);
+  const Graph mapped = read_binary_file(path);
+#if FRONTIER_HAS_MMAP
+  ASSERT_TRUE(mapped.is_memory_mapped());
+  EXPECT_TRUE(mapped.hop_table().empty());
+#endif
+  const auto offsets = mapped.offsets();
+  for (EdgeIndex s = 0; s < mapped.volume(); ++s) {
+    const Graph::Row r = mapped.hop(mapped.hop_table(), s);
+    ASSERT_EQ(r.begin, offsets[mapped.target(s)]) << "slot " << s;
+    ASSERT_EQ(r.degree, mapped.degree(mapped.target(s))) << "slot " << s;
+  }
+  std::filesystem::remove(path);
+}
+
+/// A graph of n vertices whose only edge is {0, 1}: its walk footprint is
+/// 8 (n + 1) + 8 bytes.
+Graph one_edge_graph(std::size_t n) {
+  GraphBuilder b(n);
+  b.add_undirected_edge(0, 1);
+  return b.build();
+}
+
+TEST(GraphStorage, NoHopTableAtOrBelowTheThreshold) {
+  EXPECT_TRUE(Graph().hop_table().empty());
+  EXPECT_TRUE(make_test_graph(19).hop_table().empty());
+
+  // Footprint exactly at the threshold: no table. One vertex more puts it
+  // above, and the table has one entry per slot.
+  constexpr std::size_t kAtThreshold =
+      GraphStorage::kHopTableMinCsrBytes / 8 - 2;
+  const Graph at = one_edge_graph(kAtThreshold);
+  ASSERT_EQ(at.offsets().size_bytes() + at.neighbor_array().size_bytes(),
+            GraphStorage::kHopTableMinCsrBytes);
+  EXPECT_TRUE(at.hop_table().empty());
+  const Graph above = one_edge_graph(kAtThreshold + 1);
+  expect_hops_match_csr(above);
+  EXPECT_EQ(above.hop_table().size(), 2u);
+}
+
+/// Threads that ask for the table at the same moment, through their own
+/// copies of one Graph, get one table; a graph over a copy of the arrays
+/// has a table of its own.
+TEST(GraphStorage, OneHopTableForCopiesAndConcurrentFirstUsers) {
+  const Graph g = make_large_graph(22);
+  constexpr std::size_t kThreads = 4;
+  std::vector<const Hop*> seen(kThreads, nullptr);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const Graph copy = g;
+      start.arrive_and_wait();
+      seen[t] = copy.hop_table().data();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  ASSERT_NE(seen[0], nullptr);
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  EXPECT_EQ(g.hop_table().data(), seen[0]);
+  expect_hops_match_csr(g);
+
+  const Graph other = deep_copy(g);
+  EXPECT_NE(other.hop_table().data(), seen[0]);
+  expect_hops_match_csr(other);
+}
+
+/// Four threads start FS and SingleRW crawls of one fresh above-threshold
+/// graph at the same moment, so the table is built under their race; every
+/// crawl's sink state equals a single-thread crawl's on a deep copy.
+TEST(GraphStorage, ConcurrentCrawlsBuildOneHopTable) {
+  const Graph g = make_large_graph(23);
+  const std::vector<CrawlSpec> specs{
+      {.method = "fs", .budget = 20000.0, .dimension = 50, .seed = 5},
+      {.method = "srw", .budget = 20000.0, .seed = 6},
+  };
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::string> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = crawl_state(g, specs[t % specs.size()]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], crawl_state(deep_copy(g), specs[t % specs.size()]))
+        << "thread " << t;
   }
 }
 

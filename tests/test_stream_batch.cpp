@@ -204,6 +204,98 @@ TEST(StreamBatch, MetropolisAllBatchSizes) {
   });
 }
 
+// ------------------------------------------- above the hop table threshold
+
+/// A BA graph whose walk footprint (offsets plus neighbour ids, ~3.2 MB)
+/// is above GraphStorage::kHopTableMinCsrBytes, so its walks step through
+/// the graph-wide hop table rather than the CSR offsets.
+const Graph& large_graph() {
+  static const Graph g = [] {
+    Rng rng(43);
+    return barabasi_albert(100000, 3, rng);
+  }();
+  return g;
+}
+
+/// check_golden on large_graph() at K in {1, 4096}. The digests were
+/// recorded before the hop table existed, from cursors that read every
+/// hop's row and degree from the CSR offsets.
+template <typename MakeCursor>
+void check_large_golden(std::size_t events, std::uint64_t digest,
+                        MakeCursor make_cursor) {
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4096}}) {
+    auto cursor = make_cursor(large_graph());
+    const std::vector<EventRec> got = collect_batched(*cursor, k);
+    EXPECT_EQ(got.size(), events) << "K=" << k;
+    EXPECT_EQ(digest_of(got, *cursor), digest) << "K=" << k;
+  }
+}
+
+TEST(StreamBatch, LargeGraphFrontierWeightedTree) {
+  check_large_golden(30000, 0xc0c22a028ae52f40ULL, [](const Graph& g) {
+    return std::make_unique<FrontierCursor>(
+        g, FrontierSampler::Config{.dimension = 100, .steps = 30000},
+        Rng(61));
+  });
+}
+
+TEST(StreamBatch, LargeGraphFrontierLinearScan) {
+  check_large_golden(20000, 0x8465bd19e2dfc892ULL, [](const Graph& g) {
+    return std::make_unique<FrontierCursor>(
+        g,
+        FrontierSampler::Config{
+            .dimension = 12, .steps = 20000,
+            .selection = FrontierSampler::Selection::kLinearScan},
+        Rng(62));
+  });
+}
+
+TEST(StreamBatch, LargeGraphSingleRwWithBurnInAndLaziness) {
+  check_large_golden(20500, 0x8db8770905b4e45aULL, [](const Graph& g) {
+    return std::make_unique<SingleRwCursor>(
+        g,
+        SingleRandomWalk::Config{
+            .steps = 20000, .burn_in = 500, .laziness = 0.3},
+        Rng(63));
+  });
+}
+
+TEST(StreamBatch, LargeGraphSingleRwPlain) {
+  check_large_golden(30000, 0xdf66d37d6a2f05b1ULL, [](const Graph& g) {
+    return std::make_unique<SingleRwCursor>(
+        g, SingleRandomWalk::Config{.steps = 30000}, Rng(64));
+  });
+}
+
+TEST(StreamBatch, LargeGraphMultipleRw) {
+  check_large_golden(20020, 0x0bcf5e8d1d6c6ea9ULL, [](const Graph& g) {
+    return std::make_unique<MultipleRwCursor>(
+        g,
+        MultipleRandomWalks::Config{.num_walkers = 20,
+                                    .steps_per_walker = 1000},
+        Rng(65));
+  });
+}
+
+TEST(StreamBatch, LargeGraphRwj) {
+  check_large_golden(15198, 0x0a8c051b2cafd41dULL, [](const Graph& g) {
+    return std::make_unique<RwjCursor>(
+        g,
+        RandomWalkWithJumps::Config{
+            .budget = 20000.0,
+            .jump_probability = 0.1,
+            .cost = {.jump_cost = 2.0, .hit_ratio = 0.5}},
+        Rng(66));
+  });
+}
+
+TEST(StreamBatch, LargeGraphMetropolis) {
+  check_large_golden(20001, 0x4de2429437e11e3bULL, [](const Graph& g) {
+    return std::make_unique<MetropolisCursor>(
+        g, MetropolisHastingsWalk::Config{.steps = 20000}, Rng(67));
+  });
+}
+
 // ------------------------------------------------------------------ sinks
 
 /// Serializes every sink; the byte string is the complete numeric state.
@@ -513,9 +605,8 @@ TEST(StreamBatch, CodegreeMemoHoldsSampledSlots) {
   const CodegreeMemo& memo = g.codegree_memo();
   std::size_t hits = 0;
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (std::size_t j = 0; j < g.degree(u); ++j) {
-      const EdgeIndex s = g.slot(u, j);
-      const std::uint32_t f = shared_neighbors(g, u, g.neighbor(u, j));
+    for (EdgeIndex s = g.offsets()[u]; s < g.offsets()[u + 1]; ++s) {
+      const std::uint32_t f = shared_neighbors(g, u, g.target(s));
       if (sampled[s]) {
         ASSERT_LE(f, CodegreeMemo::kMaxCodegree);
         EXPECT_EQ(memo.load(s), f) << "slot " << s;
