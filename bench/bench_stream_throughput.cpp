@@ -18,12 +18,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
+#include "obs/resource.hpp"
 
 namespace {
 
@@ -31,17 +28,8 @@ using namespace frontier;
 
 // Peak RSS of this process in MiB; 0 where getrusage is unavailable.
 double peak_rss_mib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-#endif
-#else
-  return 0.0;
-#endif
+  return static_cast<double>(process_usage().peak_rss_bytes) /
+         (1024.0 * 1024.0);
 }
 
 struct RunResult {
@@ -71,7 +59,7 @@ int main(int argc, char** argv) {
         .dimension = m, .steps = frontier_steps(budget, m, 1.0)};
   };
 
-  const auto run_streaming = [&](double budget, bool instrument = false) {
+  const auto run_streaming = [&](double budget) {
     SinkSet sinks;
     sinks.push_back(std::make_unique<GraphMomentsSink>(g));
     sinks.push_back(
@@ -79,12 +67,6 @@ int main(int argc, char** argv) {
     StreamEngine engine(
         std::make_unique<FrontierCursor>(g, fs_config(budget), Rng(cfg.seed)),
         std::move(sinks));
-    std::unique_ptr<CrawlInstrumentation> instr;
-    if (instrument) {
-      instr = std::make_unique<CrawlInstrumentation>(
-          MetricsRegistry::global(), engine.cursor(), engine.sinks());
-      engine.set_instrumentation(instr.get());
-    }
     const auto t0 = std::chrono::steady_clock::now();
     engine.run_to_completion();
     const std::chrono::duration<double> dt =
@@ -134,28 +116,5 @@ int main(int argc, char** argv) {
   std::cout << "\nRSS rows are cumulative high-water marks: a flat streaming "
                "column is the O(1)-in-budget memory claim; batch grows ~16 "
                "bytes/edge.\n";
-
-  // Telemetry overhead at a fixed budget: the same crawl with and without
-  // CrawlInstrumentation attached. The estimates must agree exactly
-  // (telemetry never touches the RNG stream or sink state); the wall-time
-  // delta is the advertised hot-loop cost (< 2% at the default FS_BLOCK,
-  // see docs/OBSERVABILITY.md).
-  {
-    const double budget = std::pow(10.0, std::min(stream_max_exp, 7));
-    const RunResult off = run_streaming(budget);
-    const RunResult on = run_streaming(budget, /*instrument=*/true);
-    const double overhead_pct =
-        100.0 * (on.seconds - off.seconds) / std::max(off.seconds, 1e-9);
-    session.metric("metrics_overhead_pct", overhead_pct, "%");
-    session.metric("metrics_estimate_identical",
-                   on.estimate == off.estimate ? 1.0 : 0.0);
-    std::cout << "\ntelemetry overhead at B=" << format_number(budget) << ": "
-              << format_number(overhead_pct) << "% ("
-              << format_number(off.seconds) << " s off, "
-              << format_number(on.seconds) << " s on), estimates "
-              << (on.estimate == off.estimate ? "bit-identical"
-                                              : "DIFFER (bug!)")
-              << "\n";
-  }
   return 0;
 }

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"Graph", "r", "FS bias", "FS NMSE", "MRW bias", "MRW NMSE",
                    "SRW bias", "SRW NMSE"});
+  std::vector<double> fingerprint_values;
 
   for (const Dataset& ds : datasets) {
     const Graph& g = ds.graph;
@@ -75,8 +76,16 @@ int main(int argc, char** argv) {
     session.metric("nmse/" + ds.name + "/FS", fs_acc.nmse());
     session.metric("nmse/" + ds.name + "/MRW", mrw_acc.nmse());
     session.metric("nmse/" + ds.name + "/SRW", srw_acc.nmse());
+    for (const ScalarErrorAccumulator* acc : {&fs_acc, &mrw_acc, &srw_acc}) {
+      fingerprint_values.push_back(acc->mean_estimate());
+      fingerprint_values.push_back(acc->nmse());
+    }
   }
   table.print(std::cout);
+  // parallel_accumulate merges in run order, so this must match across
+  // FS_THREADS and FS_BLOCK settings.
+  session.metric("result_fingerprint", values_fingerprint(fingerprint_values),
+                 "fnv52");
   std::cout << "\nexpected shape: FS has the smallest |bias| on every row "
                "(the paper's headline: Flickr FS 8% vs MRW 752% vs SRW "
                "-619%); SRW bias ~100% on GAB. NMSE values are huge where "

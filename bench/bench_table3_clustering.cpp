@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"Graph", "C", "FS E[C] (NMSE)", "SRW E[C] (NMSE)",
                    "MRW E[C] (NMSE)"});
+  std::vector<double> fingerprint_values;
 
   std::vector<Dataset> datasets;
   datasets.push_back(synthetic_flickr(cfg));
@@ -60,8 +61,16 @@ int main(int argc, char** argv) {
     session.metric("nmse/" + ds.name + "/FS", fs_acc.nmse());
     session.metric("nmse/" + ds.name + "/SRW", srw_acc.nmse());
     session.metric("nmse/" + ds.name + "/MRW", mrw_acc.nmse());
+    for (const ScalarErrorAccumulator* acc : {&fs_acc, &srw_acc, &mrw_acc}) {
+      fingerprint_values.push_back(acc->mean_estimate());
+      fingerprint_values.push_back(acc->nmse());
+    }
   }
   table.print(std::cout);
+  // parallel_accumulate merges in run order, so this must match across
+  // FS_THREADS and FS_BLOCK settings.
+  session.metric("result_fingerprint", values_fingerprint(fingerprint_values),
+                 "fnv52");
   std::cout << "\nexpected shape: all means near C; FS with the smallest "
                "NMSE\n";
   return 0;

@@ -52,7 +52,8 @@ class AssortativityAccumulator {
 };
 
 /// r̂ from a sequence of sampled symmetric edges: filters to edges present
-/// in E_d (E* = E_d, the labeled subset) and correlates their labels.
+/// in E_d (E* = E_d, the labeled subset) and correlates their labels, by
+/// folding them through AssortativitySink (stream/sinks.hpp).
 [[nodiscard]] double estimate_assortativity(const Graph& g,
                                             std::span<const Edge> edges);
 

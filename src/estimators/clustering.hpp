@@ -3,14 +3,10 @@
 //   Ĉ = (1/(S·B)) Σ_i f(v_i, u_i) / ( 2 · C(deg(v_i), 2) )
 //   S  = (1/B) Σ_i 1/deg(v_i)   restricted to deg(v_i) >= 2,
 //
-// where f(v,u) counts the common neighbors of v and u. Since
-// Σ_{u∈N(v)} f(v,u) = 2∆(v), the numerator converges (Theorem 4.1) to
-// (Σ_v c(v))/|E| and S to |V*|/|E|, so Ĉ → C almost surely. Note: the
-// paper's displayed estimator carries an extra 1/deg(v_i) in the numerator
-// and no factor 1/2; as literally written it converges to
-// (2/|V*|) Σ c(v)/deg(v) rather than C — we implement the corrected
-// weights (see EXPERIMENTS.md "deviations"); the two coincide on regular
-// graphs.
+// where f(v,u) counts the common neighbors of v and u, so Ĉ → C almost
+// surely. These are the corrected weights, not the paper's displayed ones;
+// the fold, the derivation and the deviation are ClusteringSink's
+// (stream/motif_sinks.*).
 #pragma once
 
 #include <span>

@@ -6,6 +6,7 @@
 // Vertex label density (eq. 7): θ̂_l = (1/(S·B)) Σ 1(l ∈ L_v(v_i))/deg(v_i)
 // with S = (1/B) Σ 1/deg(v_i) — the importance-reweighted estimator that
 // corrects the degree bias of stationary random-walk samples.
+// Both fold through their sinks (stream/sinks.hpp).
 #pragma once
 
 #include <functional>
@@ -19,9 +20,9 @@ namespace frontier {
 
 /// eq. 5 over the subsequence of edges where `labeled` holds; `has_label`
 /// decides whether the label of interest is present. Returns 0 when no
-/// sampled edge is labeled.
+/// sampled edge is labeled. Edge targets must be vertices of g.
 [[nodiscard]] double estimate_edge_label_density(
-    std::span<const Edge> edges,
+    const Graph& g, std::span<const Edge> edges,
     const std::function<bool(const Edge&)>& labeled,
     const std::function<bool(const Edge&)>& has_label);
 

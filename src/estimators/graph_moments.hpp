@@ -5,6 +5,8 @@
 // asymptotically unbiased estimator of the average degree vol(V)/|V| —
 // Section 3 assumes d̄ is known; this is how a crawler obtains it. The
 // degree-moment generalization Σ deg^k estimators follow the same pattern.
+// Each edge estimator folds its sample through GraphMomentsSink
+// (stream/sinks.hpp), the uniform one through UniformDegreeSink.
 #pragma once
 
 #include <cmath>
@@ -17,7 +19,8 @@
 namespace frontier {
 
 /// Average symmetric degree d̄ from stationary RW/FS/RE edge samples:
-/// 1 / mean(1/deg(v_i)). Returns 0 for empty input.
+/// 1 / mean(1/deg(v_i)). Returns 0 for empty input. Pays per edge for
+/// the sink's Welford stat of observed degrees, which it discards.
 [[nodiscard]] double estimate_average_degree(const Graph& g,
                                              std::span<const Edge> edges);
 
@@ -28,8 +31,7 @@ namespace frontier {
 /// deg^e, bit-equal to std::pow(double(deg), double(e)) and usually far
 /// cheaper: the product of e copies of deg, which is an exact integer
 /// while it stays below 2^53 (where std::pow returns that same exact
-/// value); std::pow only above. The one degree-power fold of
-/// estimate_degree_moment and GraphMomentsSink.
+/// value); std::pow only above. GraphMomentsSink's degree powers.
 [[nodiscard]] inline double degree_power(std::uint32_t deg,
                                          unsigned e) noexcept {
   const double d = static_cast<double>(deg);
@@ -42,9 +44,9 @@ namespace frontier {
 }
 
 /// k-th raw moment of the degree distribution, E[deg^k], from stationary
-/// edge samples: mean(deg(v_i)^{k-1}) / mean(deg(v_i)^{-1})^{0}... —
-/// implemented as Σ deg^(k-1) / Σ deg^(-1) reweighting. k = 1 reduces to
-/// estimate_average_degree.
+/// edge samples: the Σ deg^(k-1) / Σ deg^(-1) reweighting. k = 1 reduces
+/// to estimate_average_degree. GraphMomentsSink(g, k) keeps all k power
+/// sums: O(k) memory and about k²/2 multiplications per edge.
 [[nodiscard]] double estimate_degree_moment(const Graph& g,
                                             std::span<const Edge> edges,
                                             unsigned k);

@@ -8,11 +8,15 @@
 
 namespace frontier {
 
-FrontierSampler::FrontierSampler(const Graph& g, Config config)
-    : graph_(&g), config_(config), start_sampler_(g, config.start) {
-  if (config_.dimension == 0) {
+void FrontierSampler::Config::validate(const Graph& /*g*/) const {
+  if (dimension == 0) {
     throw std::invalid_argument("FrontierSampler: dimension m >= 1");
   }
+}
+
+FrontierSampler::FrontierSampler(const Graph& g, Config config)
+    : graph_(&g), config_(config), start_sampler_(g, config.start) {
+  config_.validate(g);
 }
 
 // run()/run_from() are thin loops over FrontierCursor (stream/): the

@@ -36,6 +36,8 @@ class FrontierSampler {
     double jump_cost = 1.0;      ///< c, charged once per walker at init
     StartMode start = StartMode::kUniform;
     Selection selection = Selection::kWeightedTree;
+    /// Throws if this config cannot run on g; sampler and cursor call it.
+    void validate(const Graph& g) const;
   };
 
   FrontierSampler(const Graph& g, Config config);

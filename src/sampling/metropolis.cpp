@@ -8,11 +8,15 @@
 
 namespace frontier {
 
-MetropolisHastingsWalk::MetropolisHastingsWalk(const Graph& g, Config config)
-    : graph_(&g), config_(config), start_sampler_(g, config.start) {
-  if (config_.fixed_start && *config_.fixed_start >= g.num_vertices()) {
+void MetropolisHastingsWalk::Config::validate(const Graph& g) const {
+  if (fixed_start && *fixed_start >= g.num_vertices()) {
     throw std::out_of_range("MetropolisHastingsWalk: fixed_start out of range");
   }
+}
+
+MetropolisHastingsWalk::MetropolisHastingsWalk(const Graph& g, Config config)
+    : graph_(&g), config_(config), start_sampler_(g, config.start) {
+  config_.validate(g);
 }
 
 // run() is a thin loop over MetropolisCursor (stream/), the single

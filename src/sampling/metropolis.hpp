@@ -22,6 +22,8 @@ class MetropolisHastingsWalk {
     std::uint64_t steps = 0;
     StartMode start = StartMode::kUniform;
     std::optional<VertexId> fixed_start = std::nullopt;
+    /// Throws if this config cannot run on g; sampler and cursor call it.
+    void validate(const Graph& g) const;
   };
 
   MetropolisHastingsWalk(const Graph& g, Config config);

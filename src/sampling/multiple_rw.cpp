@@ -8,11 +8,15 @@
 
 namespace frontier {
 
-MultipleRandomWalks::MultipleRandomWalks(const Graph& g, Config config)
-    : graph_(&g), config_(config), start_sampler_(g, config.start) {
-  if (config_.num_walkers == 0) {
+void MultipleRandomWalks::Config::validate(const Graph& /*g*/) const {
+  if (num_walkers == 0) {
     throw std::invalid_argument("MultipleRandomWalks: num_walkers >= 1");
   }
+}
+
+MultipleRandomWalks::MultipleRandomWalks(const Graph& g, Config config)
+    : graph_(&g), config_(config), start_sampler_(g, config.start) {
+  config_.validate(g);
 }
 
 // run() is a thin loop over MultipleRwCursor (stream/): walker starts are

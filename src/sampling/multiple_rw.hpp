@@ -17,6 +17,8 @@ class MultipleRandomWalks {
     std::uint64_t steps_per_walker = 0;  ///< floor(B/m - c)
     double jump_cost = 1.0;              ///< c, charged once per walker
     StartMode start = StartMode::kUniform;
+    /// Throws if this config cannot run on g; sampler and cursor call it.
+    void validate(const Graph& g) const;
   };
 
   MultipleRandomWalks(const Graph& g, Config config);

@@ -9,16 +9,20 @@
 
 namespace frontier {
 
+void RandomWalkWithJumps::Config::validate(const Graph& /*g*/) const {
+  if (jump_probability < 0.0 || jump_probability > 1.0) {
+    throw std::invalid_argument("RandomWalkWithJumps: jump_probability");
+  }
+  if (cost.hit_ratio <= 0.0 || cost.hit_ratio > 1.0) {
+    throw std::invalid_argument("RandomWalkWithJumps: hit_ratio in (0,1]");
+  }
+}
+
 RandomWalkWithJumps::RandomWalkWithJumps(const Graph& g, Config config)
     : graph_(&g),
       config_(config),
       start_sampler_(g, StartMode::kUniform) {
-  if (config_.jump_probability < 0.0 || config_.jump_probability > 1.0) {
-    throw std::invalid_argument("RandomWalkWithJumps: jump_probability");
-  }
-  if (config_.cost.hit_ratio <= 0.0 || config_.cost.hit_ratio > 1.0) {
-    throw std::invalid_argument("RandomWalkWithJumps: hit_ratio in (0,1]");
-  }
+  config_.validate(g);
 }
 
 // run() is a thin loop over RwjCursor (stream/), the single implementation

@@ -26,6 +26,8 @@ class RandomWalkWithJumps {
     double budget = 0.0;          ///< B; steps cost 1, jumps cost c/hit
     double jump_probability = 0.15;
     CostModel cost{};             ///< jump cost model
+    /// Throws if this config cannot run on g; sampler and cursor call it.
+    void validate(const Graph& g) const;
   };
 
   RandomWalkWithJumps(const Graph& g, Config config);

@@ -8,17 +8,21 @@
 
 namespace frontier {
 
-SingleRandomWalk::SingleRandomWalk(const Graph& g, Config config)
-    : graph_(&g), config_(config), start_sampler_(g, config.start) {
-  if (config_.fixed_start && *config_.fixed_start >= g.num_vertices()) {
+void SingleRandomWalk::Config::validate(const Graph& g) const {
+  if (fixed_start && *fixed_start >= g.num_vertices()) {
     throw std::out_of_range("SingleRandomWalk: fixed_start out of range");
   }
-  if (config_.fixed_start && g.degree(*config_.fixed_start) == 0) {
+  if (fixed_start && g.degree(*fixed_start) == 0) {
     throw std::invalid_argument("SingleRandomWalk: fixed_start is isolated");
   }
-  if (config_.laziness < 0.0 || config_.laziness >= 1.0) {
+  if (laziness < 0.0 || laziness >= 1.0) {
     throw std::invalid_argument("SingleRandomWalk: laziness in [0, 1)");
   }
+}
+
+SingleRandomWalk::SingleRandomWalk(const Graph& g, Config config)
+    : graph_(&g), config_(config), start_sampler_(g, config.start) {
+  config_.validate(g);
 }
 
 // run() is a thin loop over SingleRwCursor (stream/), the single

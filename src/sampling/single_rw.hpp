@@ -24,6 +24,8 @@ class SingleRandomWalk {
     /// Section 4). Stays consume budget but record no edge (a stay is not
     /// an element of E). 0 = classic walk.
     double laziness = 0.0;
+    /// Throws if this config cannot run on g; sampler and cursor call it.
+    void validate(const Graph& g) const;
   };
 
   SingleRandomWalk(const Graph& g, Config config);

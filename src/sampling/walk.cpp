@@ -43,14 +43,4 @@ VertexId StartSampler::sample(Rng& rng) const {
   }
 }
 
-void walk_from(const Graph& g, VertexId start, std::uint64_t steps, Rng& rng,
-               std::vector<Edge>& out) {
-  VertexId u = start;
-  for (std::uint64_t i = 0; i < steps; ++i) {
-    const VertexId v = step_uniform_neighbor(g, u, rng);
-    out.push_back(Edge{u, v});
-    u = v;
-  }
-}
-
 }  // namespace frontier

@@ -74,9 +74,4 @@ class StartSampler {
   return nbrs[uniform_index(rng, nbrs.size())];
 }
 
-/// Runs a plain random walk for `steps` steps starting at `start`,
-/// appending sampled edges to `out`. Precondition: deg(start) > 0.
-void walk_from(const Graph& g, VertexId start, std::uint64_t steps, Rng& rng,
-               std::vector<Edge>& out);
-
 }  // namespace frontier

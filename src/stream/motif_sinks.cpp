@@ -76,7 +76,18 @@ void ClusteringSink::fold(VertexId u, std::uint32_t f) {
   ++n_;
   const std::uint32_t d = graph_->degree(u);
   if (d < 2) return;
-  // Same arithmetic, same order as estimate_global_clustering.
+  // Derivation (Corollary 4.2, with the normalization carried through
+  // explicitly): for a uniform edge sample (v, u),
+  //   E[ f(v,u) / (2 C(deg(v),2)) ] = (1/|E|) Σ_v Σ_{u∈N(v)} f(v,u)/(2 C)
+  //                                 = (1/|E|) Σ_v ∆(v)/C(deg(v),2)
+  //                                 = (1/|E|) Σ_v c(v),
+  // because Σ_{u∈N(v)} f(v,u) = 2∆(v) (each triangle at v is seen by both
+  // of its edges at v). Dividing by S = (1/B) Σ 1/deg(v_i) restricted to
+  // deg(v_i) >= 2, which converges to |V*|/|E| by Theorem 4.1, yields C.
+  // (The paper's displayed Ĉ carries an extra 1/deg(v_i) and no 1/2; as
+  // written it converges to (2/|V*|) Σ c(v)/deg(v), not to C — we use the
+  // corrected weights, which agree exactly on a full pass over E. See
+  // EXPERIMENTS.md, "deviations".)
   const double deg = static_cast<double>(d);
   s_ += 1.0 / deg;
   const double pairs = deg * (deg - 1.0) / 2.0;

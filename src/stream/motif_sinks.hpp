@@ -60,9 +60,9 @@ class TriangleSink final : public EstimatorSink {
   std::uint64_t n_ = 0;
 };
 
-/// Streaming local + global clustering. The global part mirrors
-/// estimate_global_clustering (estimators/clustering.hpp) bit for bit:
-/// same per-edge arithmetic in the same order, gated on deg(u) >= 2. The
+/// Streaming local + global clustering. The global part is Corollary
+/// 4.2's Ĉ with corrected weights (see fold()), gated on deg(u) >= 2;
+/// estimate_global_clustering (estimators/clustering.hpp) returns it. The
 /// local part buckets integer codegree sums by deg(u), giving the mean
 /// local clustering c̄(k) per degree class — on a full slot enumeration
 /// bit-identical to exact_local_clustering_by_degree.
@@ -75,7 +75,7 @@ class ClusteringSink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// Ĉ — identical to estimate_global_clustering over the same edges.
+  /// Ĉ; estimate_global_clustering returns it.
   [[nodiscard]] double global_clustering() const noexcept;
   /// c̄(k) per degree class k >= 2; 0 where no sample landed.
   [[nodiscard]] std::vector<double> local_clustering() const;

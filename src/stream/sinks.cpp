@@ -1,5 +1,6 @@
 #include "stream/sinks.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -115,13 +116,18 @@ AssortativitySink::AssortativitySink(const Graph& g) : graph_(&g) {}
 
 void AssortativitySink::ingest_block(const StreamEventBlock& block) {
   const Graph& g = *graph_;
-  if (!block.slots_index(g)) {
-    throw std::invalid_argument(
-        "AssortativitySink: the block's slots do not index the sink's graph");
-  }
   const VertexId* u = block.u().data();
   const VertexId* v = block.v().data();
   const EdgeIndex* slot = block.slot().data();
+  if (!block.slots_index(g)) {
+    // has_directed_edge's search, once per edge row.
+    const std::uint8_t* flags = block.flags().data();
+    found_slots_.resize(block.size());
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      if (flags[i] & kHasEdge) found_slots_[i] = g.find_slot(u[i], v[i]);
+    }
+    slot = found_slots_.data();
+  }
   // Each row reads the direction flag at the slot of (u, v), then
   // out_degree[u] and in_degree[v]: independent misses per row,
   // overlapped across rows by the pipeline.
@@ -261,6 +267,28 @@ void UniformDegreeSink::save_state(std::ostream& os) const {
 void UniformDegreeSink::load_state(std::istream& is) {
   deg_sum_ = read_pod<double>(is);
   n_ = read_pod<std::uint64_t>(is);
+}
+
+// ------------------------------------------------------------- fold_sample
+
+void fold_sample(EstimatorSink& sink, const Graph& g,
+                 std::span<const Edge> edges,
+                 std::span<const VertexId> vertices) {
+  StreamEventBlock block(std::clamp<std::size_t>(
+      edges.size() + vertices.size(), 1, default_block_capacity()));
+  const auto flush = [&] {
+    sink.ingest_block(block);
+    block.clear();
+  };
+  for (const Edge& e : edges) {
+    if (block.room() == 0) flush();
+    block.push_edge(e.u, e.v, g.degree(e.v), Graph::kNoSlot);
+  }
+  for (const VertexId x : vertices) {
+    if (block.room() == 0) flush();
+    block.push_vertex(x);
+  }
+  if (!block.empty()) flush();
 }
 
 }  // namespace frontier

@@ -2,10 +2,10 @@
 // crawl at any budget B uses O(max_degree + buckets) memory instead of
 // O(B).
 //
-// Each sink is the streaming twin of one batch estimator in estimators/
-// and accumulates in the same order with the same arithmetic, so given the
-// same edge sequence the sink's output is bit-identical to the batch
-// function's (tests/test_stream_sinks.cpp asserts this), however the
+// Each sink is the one implementation of its estimand: the batch
+// estimator of the same name in estimators/ folds its sample through the
+// sink with fold_sample and returns the sink's accessor, so batch and
+// streamed values over one edge sequence are one computation, however the
 // sequence is split into blocks. Sinks serialize their numeric state for
 // checkpoint/resume; closures (label predicates) are not stored — the
 // caller re-binds them when reconstructing the sink.
@@ -15,6 +15,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,7 +92,7 @@ class VertexDensitySink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// θ̂_l — identical to estimate_vertex_label_density over the same edges.
+  /// θ̂_l; estimate_vertex_label_density returns it.
   [[nodiscard]] double value() const noexcept;
 
  private:
@@ -113,7 +114,7 @@ class EdgeDensitySink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// p̂_l — identical to estimate_edge_label_density over the same edges.
+  /// p̂_l; estimate_edge_label_density returns it.
   [[nodiscard]] double value() const noexcept;
 
  private:
@@ -124,7 +125,9 @@ class EdgeDensitySink final : public EstimatorSink {
 };
 
 /// Streaming assortativity r̂ (Section 4.2.2), reusing the incremental
-/// AssortativityAccumulator from estimators/.
+/// AssortativityAccumulator from estimators/. An edge row is labeled when
+/// its slot in the sink's graph is a forward edge of E_d; a block whose
+/// slots do not index that graph has them found by a search first.
 class AssortativitySink final : public EstimatorSink {
  public:
   explicit AssortativitySink(const Graph& g);
@@ -134,7 +137,7 @@ class AssortativitySink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// r̂ — identical to estimate_assortativity over the same edges.
+  /// r̂; estimate_assortativity returns it.
   [[nodiscard]] double value() const noexcept { return acc_.value(); }
   [[nodiscard]] std::uint64_t labeled_count() const noexcept {
     return acc_.count();
@@ -143,6 +146,7 @@ class AssortativitySink final : public EstimatorSink {
  private:
   const Graph* graph_;
   AssortativityAccumulator acc_;
+  std::vector<EdgeIndex> found_slots_;  // slots found for a block; not state
 };
 
 /// Streaming graph moments: the S-normalization of eq. 7 folded per edge.
@@ -159,11 +163,11 @@ class GraphMomentsSink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// d̄ — identical to estimate_average_degree over the same edges.
+  /// d̄; estimate_average_degree returns it.
   [[nodiscard]] double average_degree() const noexcept;
-  /// E[deg^k] — identical to estimate_degree_moment for k <= max_moment.
+  /// E[deg^k] for k <= max_moment; estimate_degree_moment returns it.
   [[nodiscard]] double degree_moment(unsigned k) const;
-  /// vol ≈ |V| / S — identical to estimate_volume.
+  /// vol ≈ |V| / S; estimate_volume returns it.
   [[nodiscard]] double volume(double num_vertices) const;
   [[nodiscard]] std::uint64_t edges_consumed() const noexcept { return n_; }
   /// Welford statistics of the observed (degree-biased) target degrees.
@@ -190,7 +194,7 @@ class UniformDegreeSink final : public EstimatorSink {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  /// Identical to estimate_average_degree_uniform over the same vertices.
+  /// The mean degree; estimate_average_degree_uniform returns it.
   [[nodiscard]] double value() const noexcept;
   [[nodiscard]] std::uint64_t vertices_consumed() const noexcept { return n_; }
 
@@ -202,5 +206,13 @@ class UniformDegreeSink final : public EstimatorSink {
 
 /// Owning collection of sinks, in checkpoint order.
 using SinkSet = std::vector<std::unique_ptr<EstimatorSink>>;
+
+/// Folds a sample into `sink` as the batch estimators do: an edge row per
+/// edge (deg(v) in g, Graph::kNoSlot), then a vertex row per vertex, in
+/// blocks of min(|edges| + |vertices|, default_block_capacity()) rows,
+/// at least 1, started by clear() (their slots index no graph).
+void fold_sample(EstimatorSink& sink, const Graph& g,
+                 std::span<const Edge> edges,
+                 std::span<const VertexId> vertices = {});
 
 }  // namespace frontier
