@@ -74,7 +74,7 @@ void BM_FrontierTree(benchmark::State& state) {
   const std::uint64_t steps = 10000;
   const FrontierSampler fs(
       g, {.dimension = m, .steps = steps,
-          .selection = FrontierSampler::Selection::kWeightedTree});
+          .selection = FrontierCursor::Selection::kWeightedTree});
   Rng rng(3);
   SampleArena arena;
   for (auto _ : state) {
@@ -91,7 +91,7 @@ void BM_FrontierLinearScan(benchmark::State& state) {
   const std::uint64_t steps = 10000;
   const FrontierSampler fs(
       g, {.dimension = m, .steps = steps,
-          .selection = FrontierSampler::Selection::kLinearScan});
+          .selection = FrontierCursor::Selection::kLinearScan});
   Rng rng(4);
   SampleArena arena;
   for (auto _ : state) {
@@ -248,14 +248,14 @@ double deterministic_fingerprint() {
     Rng rng(3);
     absorb(FrontierSampler(
                g, {.dimension = 64, .steps = 2000,
-                   .selection = FrontierSampler::Selection::kWeightedTree})
+                   .selection = FrontierCursor::Selection::kWeightedTree})
                .run(rng));
   }
   {
     Rng rng(4);
     absorb(FrontierSampler(
                g, {.dimension = 64, .steps = 2000,
-                   .selection = FrontierSampler::Selection::kLinearScan})
+                   .selection = FrontierCursor::Selection::kLinearScan})
                .run(rng));
   }
   {

@@ -36,6 +36,7 @@
 
 #include "sampling/budget.hpp"
 #include "sampling/walk.hpp"
+#include "sampling/walk_sampler.hpp"
 #include "sampling/single_rw.hpp"
 #include "sampling/multiple_rw.hpp"
 #include "sampling/frontier_sampler.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace frontier {
 
@@ -19,6 +20,13 @@ const CodegreeMemo& Graph::codegree_memo() const {
 
 std::span<const Hop> Graph::hop_table() const {
   return storage_ == nullptr ? std::span<const Hop>{} : storage_->hop_table();
+}
+
+const AliasTable& Graph::degree_table() const {
+  if (storage_ == nullptr) {
+    throw std::invalid_argument("Graph::degree_table: graph has no edges");
+  }
+  return storage_->degree_table();
 }
 
 bool Graph::has_edge(VertexId u, VertexId v) const noexcept {

@@ -145,6 +145,11 @@ class Graph {
     return row(neighbors_[s]);
   }
 
+  /// The storage's degree alias table (GraphStorage::degree_table), shared
+  /// by every copy of this Graph and built by the first call. Throws
+  /// std::invalid_argument when the graph has no edge.
+  [[nodiscard]] const AliasTable& degree_table() const;
+
   /// The graph-wide codegree memo of the storage, shared by every copy of
   /// this Graph (GraphStorage::codegree_memo); allocated by the first
   /// call. Empty for a default-constructed graph.

@@ -107,6 +107,18 @@ std::span<const Hop> GraphStorage::hop_table() const {
   return hop_view_;
 }
 
+const AliasTable& GraphStorage::degree_table() const {
+  std::call_once(degree_once_, [this] {
+    const std::span<const EdgeIndex> offsets = views_.offsets;
+    std::vector<double> weights(offsets.empty() ? 0 : offsets.size() - 1);
+    for (std::size_t v = 0; v < weights.size(); ++v) {
+      weights[v] = static_cast<double>(offsets[v + 1] - offsets[v]);
+    }
+    degree_table_ = AliasTable{std::span<const double>(weights)};
+  });
+  return degree_table_;
+}
+
 std::shared_ptr<const GraphStorage> GraphStorage::from_arrays(Arrays arrays) {
   auto storage = std::shared_ptr<GraphStorage>(new GraphStorage());
   storage->arrays_ = std::move(arrays);

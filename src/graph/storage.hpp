@@ -10,9 +10,10 @@
 // Graphs share storage by shared_ptr, so copying a Graph is cheap and a
 // mapped file stays alive exactly as long as some Graph views it.
 //
-// Besides the immutable arrays, a storage owns two side tables that every
-// Graph copy, engine and thread over the storage shares: the codegree memo
-// (codegree_memo() below) and the walks' hop table (hop_table()).
+// Besides the immutable arrays, a storage owns three side tables that
+// every Graph copy, engine and thread over the storage shares: the
+// codegree memo (codegree_memo() below), the walks' hop table
+// (hop_table()) and the degree alias table of their starts (degree_table()).
 #pragma once
 
 #include <cstddef>
@@ -25,6 +26,7 @@
 
 #include "core/types.hpp"
 #include "graph/codegree_memo.hpp"
+#include "random/alias_table.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define FRONTIER_HAS_MMAP 1
@@ -126,6 +128,13 @@ class GraphStorage {
   /// crawl keeps touching only the pages it visits. Never serialized.
   [[nodiscard]] std::span<const Hop> hop_table() const;
 
+  /// The alias table over vertex degrees, deg(v) / vol(V), that
+  /// degree-proportional walk starts draw from. Built by the first call,
+  /// on the calling thread in one O(|V|) pass (20 bytes per vertex), while
+  /// any other caller waits; mapped storage builds one too. Throws
+  /// std::invalid_argument, and builds nothing, when the graph has no edge.
+  [[nodiscard]] const AliasTable& degree_table() const;
+
  private:
   GraphStorage() = default;
 
@@ -138,6 +147,8 @@ class GraphStorage {
   mutable std::once_flag hop_once_;
   mutable std::unique_ptr<Hop[]> hops_;  // assigned under hop_once_
   mutable std::span<const Hop> hop_view_;  // likewise; empty: no table
+  mutable std::once_flag degree_once_;
+  mutable AliasTable degree_table_;  // assigned under degree_once_
 };
 
 }  // namespace frontier

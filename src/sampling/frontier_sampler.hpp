@@ -11,59 +11,17 @@
 // steady state for large m (Theorem 5.4), which is what makes FS robust to
 // disconnected and loosely connected graphs.
 //
-// Walker selection is the per-step hot spot. Two strategies are provided:
-//   * kWeightedTree (default): Fenwick tree keyed by walker, O(log m)/step;
-//   * kLinearScan: cumulative scan over the m degrees, O(m)/step — simpler,
-//     faster for very small m, kept for the ablation benchmark.
+// The process, its Config and its walker-selection strategies are
+// FrontierCursor (stream/sampler_cursors.hpp). A run from an explicit
+// frontier, as Figures 6 and 9 share starts between FS and MultipleRW, is
+// FrontierCursor's frontier constructor drained with drain_cursor.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
-#include "graph/graph.hpp"
-#include "sampling/walk.hpp"
+#include "sampling/walk_sampler.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 
-class FrontierSampler {
- public:
-  enum class Selection : std::uint8_t { kWeightedTree, kLinearScan };
-
-  struct Config {
-    std::size_t dimension = 10;  ///< m, the number of dependent walkers
-    std::uint64_t steps = 0;     ///< total steps n (B - m*c)
-    double jump_cost = 1.0;      ///< c, charged once per walker at init
-    StartMode start = StartMode::kUniform;
-    Selection selection = Selection::kWeightedTree;
-    /// Throws if this config cannot run on g; sampler and cursor call it.
-    void validate(const Graph& g) const;
-  };
-
-  FrontierSampler(const Graph& g, Config config);
-
-  /// One independent run of Algorithm 1.
-  [[nodiscard]] SampleRecord run(Rng& rng) const;
-
-  /// Like run(), but drains into the caller's reusable arena and returns
-  /// arena.record — the replication hot path, allocation-free once the
-  /// arena has warmed up. Identical output and RNG stream to run().
-  const SampleRecord& run_into(SampleArena& arena, Rng& rng) const;
-
-  /// Runs Algorithm 1 from the given initial walker list (|starts| must be
-  /// m and every start must have positive degree, else
-  /// std::invalid_argument). Used by experiments that share starting
-  /// vertices between FS and MultipleRW (Figures 6 and 9).
-  [[nodiscard]] SampleRecord run_from(std::span<const VertexId> starts,
-                                      Rng& rng) const;
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-  [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
-
- private:
-  const Graph* graph_;
-  Config config_;
-  StartSampler start_sampler_;
-};
+using FrontierSampler = WalkSampler<FrontierCursor>;
 
 }  // namespace frontier

@@ -6,42 +6,17 @@
 // sample, so the visit sequence is asymptotically uniform over V and plain
 // empirical averages are unbiased. The paper cites experiments [15, 29]
 // showing MH-RW is usually less accurate than the reweighted plain RW.
+//
+// A run's `vertices` holds the visit sequence (steps+1 entries, including
+// the start) and its `edges` the accepted transitions. The process and its
+// Config are MetropolisCursor (stream/sampler_cursors.hpp).
 #pragma once
 
-#include <cstdint>
-#include <optional>
-
-#include "graph/graph.hpp"
-#include "sampling/walk.hpp"
+#include "sampling/walk_sampler.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 
-class MetropolisHastingsWalk {
- public:
-  struct Config {
-    std::uint64_t steps = 0;
-    StartMode start = StartMode::kUniform;
-    std::optional<VertexId> fixed_start = std::nullopt;
-    /// Throws if this config cannot run on g; sampler and cursor call it.
-    void validate(const Graph& g) const;
-  };
-
-  MetropolisHastingsWalk(const Graph& g, Config config);
-
-  /// One run; `vertices` holds the visit sequence (steps+1 entries,
-  /// including the start), `edges` the accepted transitions.
-  [[nodiscard]] SampleRecord run(Rng& rng) const;
-
-  /// Like run(), but drains into the caller's reusable arena and returns
-  /// arena.record. Identical output and RNG stream to run().
-  const SampleRecord& run_into(SampleArena& arena, Rng& rng) const;
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
- private:
-  const Graph* graph_;
-  Config config_;
-  StartSampler start_sampler_;
-};
+using MetropolisHastingsWalk = WalkSampler<MetropolisCursor>;
 
 }  // namespace frontier

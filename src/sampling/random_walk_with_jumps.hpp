@@ -10,43 +10,18 @@
 // stationary law is a PageRank-like mixture with no simple closed form, so
 // the eq.-7 reweighting is no longer exactly unbiased. The FS comparison
 // bench quantifies both effects.
+//
+// A run's `edges` holds walk transitions; jumps break the chain (the edge
+// after a jump starts at the landing vertex). `vertices` records every
+// visited vertex including jump landings. The process and its Config are
+// RwjCursor (stream/sampler_cursors.hpp).
 #pragma once
 
-#include <cstdint>
-
-#include "graph/graph.hpp"
-#include "sampling/budget.hpp"
-#include "sampling/walk.hpp"
+#include "sampling/walk_sampler.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 
-class RandomWalkWithJumps {
- public:
-  struct Config {
-    double budget = 0.0;          ///< B; steps cost 1, jumps cost c/hit
-    double jump_probability = 0.15;
-    CostModel cost{};             ///< jump cost model
-    /// Throws if this config cannot run on g; sampler and cursor call it.
-    void validate(const Graph& g) const;
-  };
-
-  RandomWalkWithJumps(const Graph& g, Config config);
-
-  /// One run. `edges` holds walk transitions; jumps break the chain (the
-  /// edge after a jump starts at the landing vertex). `vertices` records
-  /// every visited vertex including jump landings.
-  [[nodiscard]] SampleRecord run(Rng& rng) const;
-
-  /// Like run(), but drains into the caller's reusable arena and returns
-  /// arena.record. Identical output and RNG stream to run().
-  const SampleRecord& run_into(SampleArena& arena, Rng& rng) const;
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-
- private:
-  const Graph* graph_;
-  Config config_;
-  StartSampler start_sampler_;
-};
+using RandomWalkWithJumps = WalkSampler<RwjCursor>;
 
 }  // namespace frontier

@@ -4,18 +4,6 @@
 
 namespace frontier {
 
-namespace {
-
-std::vector<double> degree_weights(const Graph& g) {
-  std::vector<double> w(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    w[v] = static_cast<double>(g.degree(v));
-  }
-  return w;
-}
-
-}  // namespace
-
 StartSampler::StartSampler(const Graph& g, StartMode mode)
     : graph_(&g), mode_(mode) {
   if (g.num_vertices() == 0) {
@@ -24,15 +12,11 @@ StartSampler::StartSampler(const Graph& g, StartMode mode)
   if (g.volume() == 0) {
     throw std::invalid_argument("StartSampler: graph has no edges");
   }
-  if (mode == StartMode::kDegreeProportional) {
-    const auto w = degree_weights(g);
-    degree_table_ = AliasTable{std::span<const double>(w)};
-  }
 }
 
 VertexId StartSampler::sample(Rng& rng) const {
   if (mode_ == StartMode::kDegreeProportional) {
-    return static_cast<VertexId>(degree_table_.sample(rng));
+    return static_cast<VertexId>(graph_->degree_table().sample(rng));
   }
   // Uniform, rejecting isolated vertices (the paper assumes none exist;
   // rejection keeps the sampler total on graphs that do have them).

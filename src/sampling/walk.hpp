@@ -9,7 +9,6 @@
 
 #include "core/types.hpp"
 #include "graph/graph.hpp"
-#include "random/alias_table.hpp"
 #include "random/rng.hpp"
 #include "stream/block.hpp"
 
@@ -52,18 +51,19 @@ enum class StartMode : std::uint8_t {
 
 /// Draws start vertices. Uniform draws reject degree-0 vertices (a walker
 /// cannot leave them; the paper assumes every vertex has an edge) but still
-/// charge one jump per draw. Degree-proportional draws use an alias table.
+/// charge one jump per draw. Degree-proportional draws use the graph's
+/// alias table (Graph::degree_table), built once per graph storage, so a
+/// StartSampler is a two-word value that is free to copy.
 class StartSampler {
  public:
+  /// Throws std::invalid_argument if g has no vertex or no edge.
   StartSampler(const Graph& g, StartMode mode);
 
   [[nodiscard]] VertexId sample(Rng& rng) const;
-  [[nodiscard]] StartMode mode() const noexcept { return mode_; }
 
  private:
   const Graph* graph_;
   StartMode mode_;
-  AliasTable degree_table_;  // built only for kDegreeProportional
 };
 
 /// One random-walk step from u: a uniformly random neighbor of u.

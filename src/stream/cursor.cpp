@@ -3,12 +3,11 @@
 namespace frontier {
 
 SampleRecord& drain_cursor_into(SamplerCursor& cursor, SampleArena& arena,
-                                std::uint64_t reserve_edges,
-                                std::uint64_t reserve_vertices) {
+                                RecordReserve reserve) {
   arena.reset();
   SampleRecord& rec = arena.record;
-  rec.edges.reserve(reserve_edges);
-  rec.vertices.reserve(reserve_vertices);
+  rec.edges.reserve(reserve.edges);
+  rec.vertices.reserve(reserve.vertices);
   StreamEventBlock& block = arena.block;
   while (cursor.next_batch(block) > 0) {
     const std::size_t n = block.size();
@@ -31,11 +30,9 @@ SampleRecord& drain_cursor_into(SamplerCursor& cursor, SampleArena& arena,
   return rec;
 }
 
-SampleRecord drain_cursor(SamplerCursor& cursor, std::uint64_t reserve_edges,
-                          std::uint64_t reserve_vertices) {
+SampleRecord drain_cursor(SamplerCursor& cursor, RecordReserve reserve) {
   SampleArena arena;
-  return std::move(
-      drain_cursor_into(cursor, arena, reserve_edges, reserve_vertices));
+  return std::move(drain_cursor_into(cursor, arena, reserve));
 }
 
 }  // namespace frontier

@@ -11,9 +11,10 @@
 // (stream/sinks.hpp) and checkpoint/resume (stream/checkpoint.hpp).
 //
 // Contract: the RNG draw sequence, the emitted rows, the starts and the
-// cost do not depend on how the queries are split into blocks; the batch
-// run() methods are thin drains over these cursors (see sampling/*.cpp),
-// so batch and streaming results are byte-identical by construction.
+// cost do not depend on how the queries are split into blocks. A batch
+// sampler is a cursor drained to exhaustion (WalkSampler,
+// sampling/walk_sampler.hpp), so batch and streaming results are
+// byte-identical by construction.
 // tests/test_stream_batch.cpp pins every cursor configuration to golden
 // CRC-64 digests for K in {1, 7, 64, 4096}.
 #pragma once
@@ -40,9 +41,10 @@ enum class CursorKind : std::uint32_t {
 };
 
 /// Abstract block-stepping sampler. Concrete cursors live in
-/// stream/sampler_cursors.hpp; each owns its RNG by value so that
-/// (cursor state, sink states) is a complete, serializable description of
-/// an in-flight crawl.
+/// stream/sampler_cursors.hpp. The state every cursor has (its graph, its
+/// RNG, its walkers' starts and its kind) lives here; the RNG is owned by
+/// value so that (cursor state, sink states) is a complete, serializable
+/// description of an in-flight crawl.
 class SamplerCursor {
  public:
   virtual ~SamplerCursor() = default;
@@ -67,14 +69,16 @@ class SamplerCursor {
   [[nodiscard]] virtual double cost() const noexcept = 0;
 
   /// Initial vertex of each walker, in the order they were drawn.
-  [[nodiscard]] virtual const std::vector<VertexId>& starts() const noexcept = 0;
+  [[nodiscard]] const std::vector<VertexId>& starts() const noexcept {
+    return starts_;
+  }
 
-  /// The cursor's RNG. Batch run() wrappers copy this back into the
-  /// caller's generator after draining so the external stream position is
-  /// identical to the pre-refactor samplers.
-  [[nodiscard]] virtual const Rng& rng() const noexcept = 0;
+  /// The cursor's RNG. A batch run copies it back into the caller's
+  /// generator after draining, so the caller's stream continues where the
+  /// run's draws ended.
+  [[nodiscard]] const Rng& rng() const noexcept { return rng_; }
 
-  [[nodiscard]] virtual CursorKind kind() const noexcept = 0;
+  [[nodiscard]] CursorKind kind() const noexcept { return kind_; }
 
   /// Number of concurrently maintained walkers: the live frontier size for
   /// FS, the number of not-yet-exhausted walkers for MultipleRW, 1 for the
@@ -86,7 +90,7 @@ class SamplerCursor {
 
   /// The graph being crawled. Checkpoints fingerprint it (|V| and volume)
   /// so a resume against a different graph fails loudly.
-  [[nodiscard]] virtual const Graph& graph() const noexcept = 0;
+  [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
   /// Serializes / restores the dynamic state (positions, counters, RNG).
   /// The static configuration (graph, Config) is NOT stored: the caller
@@ -95,19 +99,35 @@ class SamplerCursor {
   /// mismatch throws IoError.
   virtual void save_state(std::ostream& os) const = 0;
   virtual void load_state(std::istream& is) = 0;
+
+ protected:
+  SamplerCursor(CursorKind kind, const Graph& g, Rng rng) noexcept
+      : graph_(&g), rng_(rng), kind_(kind) {}
+
+  const Graph* graph_;
+  Rng rng_;
+  std::vector<VertexId> starts_;
+
+ private:
+  CursorKind kind_;
+};
+
+/// Capacity a drain reserves in the record up front: bounds on the edge
+/// and vertex counts of one run, from the sampler's Config::reserve().
+struct RecordReserve {
+  std::uint64_t edges = 0;
+  std::uint64_t vertices = 0;
 };
 
 /// Runs a cursor to exhaustion through arena.block and assembles the
 /// batch-equivalent SampleRecord in arena.record (cleared first, capacity
-/// kept). `reserve_edges`/`reserve_vertices` pre-size the record's
-/// vectors up front so the drain never regrows them. Returns arena.record.
+/// kept). `reserve` pre-sizes the record's vectors up front so the drain
+/// never regrows them. Returns arena.record.
 SampleRecord& drain_cursor_into(SamplerCursor& cursor, SampleArena& arena,
-                                std::uint64_t reserve_edges = 0,
-                                std::uint64_t reserve_vertices = 0);
+                                RecordReserve reserve = {});
 
 /// Convenience wrapper over drain_cursor_into with a throwaway arena.
 [[nodiscard]] SampleRecord drain_cursor(SamplerCursor& cursor,
-                                        std::uint64_t reserve_edges = 0,
-                                        std::uint64_t reserve_vertices = 0);
+                                        RecordReserve reserve = {});
 
 }  // namespace frontier

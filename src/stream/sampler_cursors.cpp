@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "stream/serialize.hpp"
 
@@ -61,31 +62,44 @@ void write_optional_vertex(std::ostream& os,
   return has ? std::optional<VertexId>(v) : std::nullopt;
 }
 
+// A fixed start must be a vertex of g that the walk can leave.
+void check_fixed_start(const Graph& g, const std::optional<VertexId>& start,
+                       const char* who) {
+  if (!start) return;
+  if (*start >= g.num_vertices()) {
+    throw std::out_of_range(std::string(who) + ": fixed_start out of range");
+  }
+  if (g.degree(*start) == 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": fixed_start is isolated");
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Frontier
 
-FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
-                               Rng rng)
-    : FrontierCursor(g, config, rng, StartSampler(g, config.start)) {}
-
-FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
-                               Rng rng, const StartSampler& start_sampler)
-    : graph_(&g), config_(config), rng_(rng) {
-  config_.validate(g);
-  if (start_sampler.mode() != config_.start) {
-    throw std::invalid_argument(
-        "FrontierCursor: start sampler mode != config.start");
+void FrontierCursor::Config::validate(const Graph& /*g*/) const {
+  if (dimension == 0) {
+    throw std::invalid_argument("FrontierSampler: dimension m >= 1");
   }
+}
+
+FrontierCursor::FrontierCursor(const Graph& g, Config config, Rng rng)
+    : SamplerCursor(CursorKind::kFrontier, g, rng), config_(config) {
+  config_.validate(g);
+  const StartSampler start(g, config_.start);
   frontier_.resize(config_.dimension);
-  for (auto& v : frontier_) v = start_sampler.sample(rng_);
+  for (auto& v : frontier_) v = start.sample(rng_);
   starts_ = frontier_;
   init_selection();
 }
 
-FrontierCursor::FrontierCursor(const Graph& g, FrontierSampler::Config config,
+FrontierCursor::FrontierCursor(const Graph& g, Config config,
                                std::vector<VertexId> frontier, Rng rng)
-    : graph_(&g), config_(config), frontier_(std::move(frontier)), rng_(rng) {
+    : SamplerCursor(CursorKind::kFrontier, g, rng),
+      config_(config),
+      frontier_(std::move(frontier)) {
   config_.validate(g);
   if (frontier_.size() != config_.dimension) {
     throw std::invalid_argument(
@@ -107,7 +121,7 @@ void FrontierCursor::init_selection() {
   for (std::size_t i = 0; i < frontier_.size(); ++i) {
     rows_[i] = g.row(frontier_[i]);
   }
-  if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
+  if (config_.selection == Selection::kWeightedTree) {
     std::vector<double> weights(rows_.size());
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       weights[i] = static_cast<double>(rows_[i].degree);
@@ -151,7 +165,7 @@ std::size_t FrontierCursor::next_batch(StreamEventBlock& block,
     rows[i] = next;
     return r.degree;
   };
-  if (config_.selection == FrontierSampler::Selection::kWeightedTree) {
+  if (config_.selection == Selection::kWeightedTree) {
     for (std::size_t k = 0; k < want; ++k) {
       const std::size_t i = tree_.sample(rng);  // line 4: walker ∝ degree
       step(i);
@@ -229,19 +243,18 @@ void FrontierCursor::load_state(std::istream& is) {
 
 // ---------------------------------------------------------------- SingleRW
 
-SingleRwCursor::SingleRwCursor(const Graph& g, SingleRandomWalk::Config config,
-                               Rng rng)
-    : SingleRwCursor(g, config, rng, StartSampler(g, config.start)) {}
-
-SingleRwCursor::SingleRwCursor(const Graph& g, SingleRandomWalk::Config config,
-                               Rng rng, const StartSampler& start_sampler)
-    : graph_(&g), config_(config), rng_(rng) {
-  config_.validate(g);
-  if (start_sampler.mode() != config_.start) {
-    throw std::invalid_argument(
-        "SingleRwCursor: start sampler mode != config.start");
+void SingleRwCursor::Config::validate(const Graph& g) const {
+  check_fixed_start(g, fixed_start, "SingleRandomWalk");
+  if (laziness < 0.0 || laziness >= 1.0) {
+    throw std::invalid_argument("SingleRandomWalk: laziness in [0, 1)");
   }
-  u_ = config_.fixed_start ? *config_.fixed_start : start_sampler.sample(rng_);
+}
+
+SingleRwCursor::SingleRwCursor(const Graph& g, Config config, Rng rng)
+    : SamplerCursor(CursorKind::kSingleRw, g, rng), config_(config) {
+  config_.validate(g);
+  u_ = config_.fixed_start ? *config_.fixed_start
+                           : StartSampler(g, config_.start).sample(rng_);
   starts_.push_back(u_);
 }
 
@@ -344,29 +357,17 @@ void SingleRwCursor::load_state(std::istream& is) {
 
 // -------------------------------------------------------------- MultipleRW
 
-MultipleRwCursor::MultipleRwCursor(const Graph& g,
-                                   MultipleRandomWalks::Config config, Rng rng)
-    : graph_(&g),
-      config_(config),
-      owned_start_(std::in_place, g, config.start),
-      start_sampler_(&*owned_start_),
-      rng_(rng) {
-  config_.validate(g);
-  starts_.reserve(config_.num_walkers);
+void MultipleRwCursor::Config::validate(const Graph& /*g*/) const {
+  if (num_walkers == 0) {
+    throw std::invalid_argument("MultipleRandomWalks: num_walkers >= 1");
+  }
 }
 
-MultipleRwCursor::MultipleRwCursor(const Graph& g,
-                                   MultipleRandomWalks::Config config, Rng rng,
-                                   const StartSampler& start_sampler)
-    : graph_(&g),
+MultipleRwCursor::MultipleRwCursor(const Graph& g, Config config, Rng rng)
+    : SamplerCursor(CursorKind::kMultipleRw, g, rng),
       config_(config),
-      start_sampler_(&start_sampler),
-      rng_(rng) {
+      start_(g, config.start) {
   config_.validate(g);
-  if (start_sampler.mode() != config_.start) {
-    throw std::invalid_argument(
-        "MultipleRwCursor: start sampler mode != config.start");
-  }
   starts_.reserve(config_.num_walkers);
 }
 
@@ -381,7 +382,7 @@ std::size_t MultipleRwCursor::next_batch(StreamEventBlock& block,
   while (taken < want && walker_ < config_.num_walkers) {
     if (starts_.size() == walker_) {
       // Current walker not yet placed: this query is its start jump.
-      u_ = start_sampler_->sample(rng);
+      u_ = start_.sample(rng);
       starts_.push_back(u_);
       block.push_empty();
       ++taken;
@@ -466,36 +467,44 @@ void MultipleRwCursor::load_state(std::istream& is) {
 
 // --------------------------------------------------------------------- RWJ
 
-RwjCursor::RwjCursor(const Graph& g, RandomWalkWithJumps::Config config,
-                     Rng rng)
-    : graph_(&g),
-      config_(config),
-      owned_start_(std::in_place, g, StartMode::kUniform),
-      start_sampler_(&*owned_start_),
-      rng_(rng) {
-  init();
-}
-
-RwjCursor::RwjCursor(const Graph& g, RandomWalkWithJumps::Config config,
-                     Rng rng, const StartSampler& start_sampler)
-    : graph_(&g),
-      config_(config),
-      start_sampler_(&start_sampler),
-      rng_(rng) {
-  if (start_sampler.mode() != StartMode::kUniform) {
-    throw std::invalid_argument("RwjCursor: start sampler must be kUniform");
+void RwjCursor::Config::validate(const Graph& /*g*/) const {
+  if (!(jump_probability >= 0.0 && jump_probability <= 1.0)) {
+    throw std::invalid_argument("RandomWalkWithJumps: jump_probability");
   }
-  init();
+  if (!(cost.hit_ratio > 0.0 && cost.hit_ratio <= 1.0)) {
+    throw std::invalid_argument("RandomWalkWithJumps: hit_ratio in (0,1]");
+  }
+  // The crawl ends only when a query's cost overruns the budget: a budget
+  // no sum exceeds, or jumps that cost nothing, would never end it.
+  if (!std::isfinite(budget)) {
+    throw std::invalid_argument("RandomWalkWithJumps: budget must be finite");
+  }
+  if (!(std::isfinite(cost.jump_cost) && cost.jump_cost > 0.0)) {
+    throw std::invalid_argument(
+        "RandomWalkWithJumps: jump_cost must be finite and > 0");
+  }
 }
 
-void RwjCursor::init() {
-  config_.validate(*graph_);
+RecordReserve RwjCursor::Config::reserve() const noexcept {
+  // Clamp before the float->int cast: negative budgets (legal, empty run)
+  // and astronomical ones would be UB to cast, and a reserve hint has no
+  // business beyond 2^32 entries anyway — the drain grows if truly needed.
+  const auto steps =
+      static_cast<std::uint64_t>(std::clamp(budget, 0.0, 4294967296.0));
+  return {.edges = steps, .vertices = steps + 1};
+}
+
+RwjCursor::RwjCursor(const Graph& g, Config config, Rng rng)
+    : SamplerCursor(CursorKind::kRandomWalkWithJumps, g, rng),
+      config_(config),
+      start_(g, StartMode::kUniform) {
+  config_.validate(g);
   // Initial placement is one paid jump.
   if (!pay_jump(rng_, cost_)) {
     done_ = true;
     return;
   }
-  v_ = start_sampler_->sample(rng_);
+  v_ = start_.sample(rng_);
   starts_.push_back(v_);
   pending_vertex_ = v_;
 }
@@ -538,7 +547,7 @@ std::size_t RwjCursor::next_batch(StreamEventBlock& block,
         done_ = true;
         break;
       }
-      v = start_sampler_->sample(rng);
+      v = start_.sample(rng);
       r = g.row(v);
       block.push_vertex(v);
       ++taken;
@@ -602,21 +611,15 @@ void RwjCursor::load_state(std::istream& is) {
 
 // -------------------------------------------------------------- Metropolis
 
-MetropolisCursor::MetropolisCursor(const Graph& g,
-                                   MetropolisHastingsWalk::Config config,
-                                   Rng rng)
-    : MetropolisCursor(g, config, rng, StartSampler(g, config.start)) {}
+void MetropolisCursor::Config::validate(const Graph& g) const {
+  check_fixed_start(g, fixed_start, "MetropolisHastingsWalk");
+}
 
-MetropolisCursor::MetropolisCursor(const Graph& g,
-                                   MetropolisHastingsWalk::Config config,
-                                   Rng rng, const StartSampler& start_sampler)
-    : graph_(&g), config_(config), rng_(rng) {
+MetropolisCursor::MetropolisCursor(const Graph& g, Config config, Rng rng)
+    : SamplerCursor(CursorKind::kMetropolis, g, rng), config_(config) {
   config_.validate(g);
-  if (start_sampler.mode() != config_.start) {
-    throw std::invalid_argument(
-        "MetropolisCursor: start sampler mode != config.start");
-  }
-  v_ = config_.fixed_start ? *config_.fixed_start : start_sampler.sample(rng_);
+  v_ = config_.fixed_start ? *config_.fixed_start
+                           : StartSampler(g, config_.start).sample(rng_);
   starts_.push_back(v_);
   pending_vertex_ = v_;
 }

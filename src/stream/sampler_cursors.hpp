@@ -1,11 +1,12 @@
 // Concrete SamplerCursors for the five walk samplers.
 //
-// Each cursor is the single source of truth for its sampler's stepping
-// logic: the batch run()/run_from() methods in sampling/*.cpp construct a
-// cursor, drain it, and copy the RNG back, so cursor and batch results are
-// byte-identical by construction. Cursors take the graph plus the
-// sampler's own Config struct, own their RNG by value, and serialize their
-// dynamic state for checkpoint/resume (stream/checkpoint.hpp).
+// Each cursor is its sampler: the walk process of one paper method, with
+// the method's Config beside it. The batch samplers of sampling/ are
+// WalkSampler<Cursor> (sampling/walk_sampler.hpp), which builds a cursor,
+// drains it and copies the RNG back, so cursor and batch results are
+// byte-identical by construction. Cursors own their RNG by value and
+// serialize their dynamic state for checkpoint/resume
+// (stream/checkpoint.hpp).
 #pragma once
 
 #include <cstdint>
@@ -14,34 +15,45 @@
 
 #include "graph/graph.hpp"
 #include "random/weighted_tree.hpp"
-#include "sampling/frontier_sampler.hpp"
-#include "sampling/metropolis.hpp"
-#include "sampling/multiple_rw.hpp"
-#include "sampling/random_walk_with_jumps.hpp"
-#include "sampling/single_rw.hpp"
+#include "sampling/budget.hpp"
+#include "sampling/walk.hpp"
 #include "stream/cursor.hpp"
 
 namespace frontier {
 
 /// Algorithm 1, one row per query: select a walker ∝ degree, advance it
 /// across a uniform edge, emit that edge.
+///
+/// Walker selection is the per-step hot spot. Two strategies are provided:
+///   * kWeightedTree (default): Fenwick tree keyed by walker, O(log m)/step;
+///   * kLinearScan: cumulative scan over the m degrees, O(m)/step — simpler,
+///     faster for very small m, kept for the ablation benchmark.
 class FrontierCursor final : public SamplerCursor {
  public:
-  /// Draws the m walker starts from `config.start` (the batch run() path).
-  FrontierCursor(const Graph& g, FrontierSampler::Config config, Rng rng);
+  enum class Selection : std::uint8_t { kWeightedTree, kLinearScan };
 
-  /// Same, but draws the starts from a caller-owned StartSampler (must
-  /// match config.start), so repeated runs reuse one alias table instead
-  /// of rebuilding it per cursor. Only used during construction — the
-  /// sampler need not outlive the cursor.
-  FrontierCursor(const Graph& g, FrontierSampler::Config config, Rng rng,
-                 const StartSampler& start_sampler);
+  struct Config {
+    std::size_t dimension = 10;  ///< m, the number of dependent walkers
+    std::uint64_t steps = 0;     ///< total steps n (B - m*c)
+    double jump_cost = 1.0;      ///< c, charged once per walker at init
+    StartMode start = StartMode::kUniform;
+    Selection selection = Selection::kWeightedTree;
+    /// Throws if this config cannot run on g.
+    void validate(const Graph& g) const;
+    [[nodiscard]] RecordReserve reserve() const noexcept {
+      return {.edges = steps};
+    }
+  };
 
-  /// Starts from a caller-provided frontier (the batch run_from() path).
-  /// |frontier| must equal config.dimension and every start must have
-  /// positive degree.
-  FrontierCursor(const Graph& g, FrontierSampler::Config config,
-                 std::vector<VertexId> frontier, Rng rng);
+  /// Draws the m walker starts from `config.start`.
+  FrontierCursor(const Graph& g, Config config, Rng rng);
+
+  /// Starts from a caller-provided frontier, as Figures 6 and 9 do to share
+  /// starting vertices between FS and MultipleRW. |frontier| must equal
+  /// config.dimension and every start must have positive degree, else
+  /// std::invalid_argument.
+  FrontierCursor(const Graph& g, Config config, std::vector<VertexId> frontier,
+                 Rng rng);
 
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
@@ -49,16 +61,6 @@ class FrontierCursor final : public SamplerCursor {
     return step_ == config_.steps;
   }
   [[nodiscard]] double cost() const noexcept override;
-  [[nodiscard]] const std::vector<VertexId>& starts() const noexcept override {
-    return starts_;
-  }
-  [[nodiscard]] const Rng& rng() const noexcept override { return rng_; }
-  [[nodiscard]] CursorKind kind() const noexcept override {
-    return CursorKind::kFrontier;
-  }
-  [[nodiscard]] const Graph& graph() const noexcept override {
-    return *graph_;
-  }
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
   [[nodiscard]] std::size_t active_walkers() const noexcept override {
@@ -73,15 +75,12 @@ class FrontierCursor final : public SamplerCursor {
  private:
   void init_selection();
 
-  const Graph* graph_;
-  FrontierSampler::Config config_;
+  Config config_;
   std::vector<VertexId> frontier_;
   std::vector<Graph::Row> rows_;  // rows_[i] = row of frontier_[i]
-  std::vector<VertexId> starts_;
   WeightedTree tree_;      // kWeightedTree: Fenwick over walker degrees
   double scan_total_ = 0;  // kLinearScan: running Σ deg over the frontier
   std::uint64_t step_ = 0;
-  Rng rng_;
 };
 
 /// Single random walk with optional burn-in and laziness. Burn-in queries
@@ -89,11 +88,27 @@ class FrontierCursor final : public SamplerCursor {
 /// matching the batch accounting.
 class SingleRwCursor final : public SamplerCursor {
  public:
-  SingleRwCursor(const Graph& g, SingleRandomWalk::Config config, Rng rng);
+  struct Config {
+    std::uint64_t steps = 0;           ///< B walk steps
+    StartMode start = StartMode::kUniform;
+    std::optional<VertexId> fixed_start = std::nullopt;  ///< overrides `start` if set
+    /// Burn-in (Section 4.3): `burn_in` additional initial walk queries are
+    /// paid for and executed but their samples discarded — the classic
+    /// MCMC remedy for a non-stationary start.
+    std::uint64_t burn_in = 0;
+    /// Laziness: probability that a budgeted query stays put instead of
+    /// stepping (a lazy walk relaxes the non-bipartite requirement of
+    /// Section 4). Stays consume budget but record no edge (a stay is not
+    /// an element of E). 0 = classic walk.
+    double laziness = 0.0;
+    /// Throws if this config cannot run on g.
+    void validate(const Graph& g) const;
+    [[nodiscard]] RecordReserve reserve() const noexcept {
+      return {.edges = steps};
+    }
+  };
 
-  /// Draws the start from a caller-owned StartSampler (construction only).
-  SingleRwCursor(const Graph& g, SingleRandomWalk::Config config, Rng rng,
-                 const StartSampler& start_sampler);
+  SingleRwCursor(const Graph& g, Config config, Rng rng);
 
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
@@ -101,29 +116,16 @@ class SingleRwCursor final : public SamplerCursor {
     return step_ == config_.steps && burn_done_ == config_.burn_in;
   }
   [[nodiscard]] double cost() const noexcept override;
-  [[nodiscard]] const std::vector<VertexId>& starts() const noexcept override {
-    return starts_;
-  }
-  [[nodiscard]] const Rng& rng() const noexcept override { return rng_; }
-  [[nodiscard]] CursorKind kind() const noexcept override {
-    return CursorKind::kSingleRw;
-  }
-  [[nodiscard]] const Graph& graph() const noexcept override {
-    return *graph_;
-  }
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
   [[nodiscard]] VertexId position() const noexcept { return u_; }
 
  private:
-  const Graph* graph_;
-  SingleRandomWalk::Config config_;
+  Config config_;
   VertexId u_ = kInvalidVertex;
-  std::vector<VertexId> starts_;
   std::uint64_t burn_done_ = 0;
   std::uint64_t step_ = 0;
-  Rng rng_;
 };
 
 /// m independent walkers run back to back in walker order; each walker's
@@ -131,12 +133,19 @@ class SingleRwCursor final : public SamplerCursor {
 /// RNG interleaving (start_1, steps_1, start_2, steps_2, ...).
 class MultipleRwCursor final : public SamplerCursor {
  public:
-  MultipleRwCursor(const Graph& g, MultipleRandomWalks::Config config, Rng rng);
+  struct Config {
+    std::size_t num_walkers = 10;        ///< m
+    std::uint64_t steps_per_walker = 0;  ///< floor(B/m - c)
+    double jump_cost = 1.0;              ///< c, charged once per walker
+    StartMode start = StartMode::kUniform;
+    /// Throws if this config cannot run on g.
+    void validate(const Graph& g) const;
+    [[nodiscard]] RecordReserve reserve() const noexcept {
+      return {.edges = num_walkers * steps_per_walker};
+    }
+  };
 
-  /// Draws walker starts from a caller-owned StartSampler, which must
-  /// outlive the cursor (starts are drawn lazily throughout the run).
-  MultipleRwCursor(const Graph& g, MultipleRandomWalks::Config config, Rng rng,
-                   const StartSampler& start_sampler);
+  MultipleRwCursor(const Graph& g, Config config, Rng rng);
 
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
@@ -144,16 +153,6 @@ class MultipleRwCursor final : public SamplerCursor {
     return walker_ == config_.num_walkers;
   }
   [[nodiscard]] double cost() const noexcept override;
-  [[nodiscard]] const std::vector<VertexId>& starts() const noexcept override {
-    return starts_;
-  }
-  [[nodiscard]] const Rng& rng() const noexcept override { return rng_; }
-  [[nodiscard]] CursorKind kind() const noexcept override {
-    return CursorKind::kMultipleRw;
-  }
-  [[nodiscard]] const Graph& graph() const noexcept override {
-    return *graph_;
-  }
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
   /// Walkers that still have steps to take (walkers run back to back, so
@@ -163,15 +162,11 @@ class MultipleRwCursor final : public SamplerCursor {
   }
 
  private:
-  const Graph* graph_;
-  MultipleRandomWalks::Config config_;
-  std::optional<StartSampler> owned_start_;  // engaged unless caller-owned
-  const StartSampler* start_sampler_;
-  std::vector<VertexId> starts_;
+  Config config_;
+  StartSampler start_;
   VertexId u_ = kInvalidVertex;
   std::size_t walker_ = 0;     // walkers fully finished
   std::uint64_t step_ = 0;     // steps taken by the current walker
-  Rng rng_;
 };
 
 /// Random walk with jumps under a budget: jumps cost c/hit_ratio (paid in
@@ -179,27 +174,23 @@ class MultipleRwCursor final : public SamplerCursor {
 /// vertex; walk steps emit an edge and a vertex.
 class RwjCursor final : public SamplerCursor {
  public:
-  RwjCursor(const Graph& g, RandomWalkWithJumps::Config config, Rng rng);
+  struct Config {
+    double budget = 0.0;          ///< B; steps cost 1, jumps cost c/hit
+    double jump_probability = 0.15;
+    CostModel cost{};             ///< jump cost model
+    /// Throws if this config cannot run on g, or could never end.
+    void validate(const Graph& g) const;
+    /// Walk steps cost 1 each, so the budget bounds the edge count; every
+    /// step and jump landing records at most one vertex.
+    [[nodiscard]] RecordReserve reserve() const noexcept;
+  };
 
-  /// Jumps through a caller-owned StartSampler (kUniform), which must
-  /// outlive the cursor (jump landings are drawn throughout the run).
-  RwjCursor(const Graph& g, RandomWalkWithJumps::Config config, Rng rng,
-            const StartSampler& start_sampler);
+  RwjCursor(const Graph& g, Config config, Rng rng);
 
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
   [[nodiscard]] bool done() const noexcept override { return done_; }
   [[nodiscard]] double cost() const noexcept override { return cost_; }
-  [[nodiscard]] const std::vector<VertexId>& starts() const noexcept override {
-    return starts_;
-  }
-  [[nodiscard]] const Rng& rng() const noexcept override { return rng_; }
-  [[nodiscard]] CursorKind kind() const noexcept override {
-    return CursorKind::kRandomWalkWithJumps;
-  }
-  [[nodiscard]] const Graph& graph() const noexcept override {
-    return *graph_;
-  }
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
@@ -207,18 +198,13 @@ class RwjCursor final : public SamplerCursor {
   /// Draws one jump's retry streak and adds its cost to `cost`; false,
   /// with `cost` set to the budget, when the budget cannot pay it.
   [[nodiscard]] bool pay_jump(Rng& rng, double& cost) const;
-  void init();
 
-  const Graph* graph_;
-  RandomWalkWithJumps::Config config_;
-  std::optional<StartSampler> owned_start_;  // engaged unless caller-owned
-  const StartSampler* start_sampler_;
-  std::vector<VertexId> starts_;
+  Config config_;
+  StartSampler start_;  // uniform: jump landings
   VertexId v_ = kInvalidVertex;
   std::optional<VertexId> pending_vertex_;  // start visit, emitted first
   double cost_ = 0.0;
   bool done_ = false;
-  Rng rng_;
 };
 
 /// Metropolis–Hastings walk: every step emits the (possibly unchanged)
@@ -227,12 +213,19 @@ class RwjCursor final : public SamplerCursor {
 /// record's steps+1 vertex entries.
 class MetropolisCursor final : public SamplerCursor {
  public:
-  MetropolisCursor(const Graph& g, MetropolisHastingsWalk::Config config,
-                   Rng rng);
+  struct Config {
+    std::uint64_t steps = 0;
+    StartMode start = StartMode::kUniform;
+    std::optional<VertexId> fixed_start = std::nullopt;
+    /// Throws if this config cannot run on g.
+    void validate(const Graph& g) const;
+    /// Every proposal may be accepted, so `steps` bounds the edge count.
+    [[nodiscard]] RecordReserve reserve() const noexcept {
+      return {.edges = steps, .vertices = steps + 1};
+    }
+  };
 
-  /// Draws the start from a caller-owned StartSampler (construction only).
-  MetropolisCursor(const Graph& g, MetropolisHastingsWalk::Config config,
-                   Rng rng, const StartSampler& start_sampler);
+  MetropolisCursor(const Graph& g, Config config, Rng rng);
 
   std::size_t next_batch(StreamEventBlock& block,
                          std::size_t max_steps) override;
@@ -240,29 +233,16 @@ class MetropolisCursor final : public SamplerCursor {
     return step_ == config_.steps && !pending_vertex_;
   }
   [[nodiscard]] double cost() const noexcept override;
-  [[nodiscard]] const std::vector<VertexId>& starts() const noexcept override {
-    return starts_;
-  }
-  [[nodiscard]] const Rng& rng() const noexcept override { return rng_; }
-  [[nodiscard]] CursorKind kind() const noexcept override {
-    return CursorKind::kMetropolis;
-  }
-  [[nodiscard]] const Graph& graph() const noexcept override {
-    return *graph_;
-  }
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
   [[nodiscard]] VertexId position() const noexcept { return v_; }
 
  private:
-  const Graph* graph_;
-  MetropolisHastingsWalk::Config config_;
+  Config config_;
   VertexId v_ = kInvalidVertex;
-  std::vector<VertexId> starts_;
   std::optional<VertexId> pending_vertex_;
   std::uint64_t step_ = 0;
-  Rng rng_;
 };
 
 }  // namespace frontier

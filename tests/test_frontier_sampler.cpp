@@ -57,7 +57,7 @@ TEST(FrontierSampler, TrajectoryIsValidLinearScan) {
   const Graph g = barabasi_albert(80, 2, rng);
   const FrontierSampler fs(
       g, {.dimension = 7, .steps = 500,
-          .selection = FrontierSampler::Selection::kLinearScan});
+          .selection = FrontierCursor::Selection::kLinearScan});
   expect_valid_fs_trajectory(g, fs.run(rng));
 }
 
@@ -105,7 +105,7 @@ TEST(FrontierSampler, SelectionStrategiesAgreeInDistribution) {
   const FrontierSampler tree(g, {.dimension = 10, .steps = steps});
   const FrontierSampler scan(
       g, {.dimension = 10, .steps = steps,
-          .selection = FrontierSampler::Selection::kLinearScan});
+          .selection = FrontierCursor::Selection::kLinearScan});
   Rng rng_a(100);
   Rng rng_b(200);
   std::vector<double> fa(g.num_vertices(), 0.0);
@@ -125,13 +125,12 @@ TEST(FrontierSampler, RunFromValidatesStarts) {
   b.add_undirected_edge(0, 1);
   b.add_undirected_edge(1, 2);  // vertex 3 isolated
   const Graph g = b.build();
-  const FrontierSampler fs(g, {.dimension = 2, .steps = 10});
-  const std::vector<VertexId> wrong_size{0};
-  EXPECT_THROW((void)fs.run_from(wrong_size, rng), std::invalid_argument);
-  const std::vector<VertexId> isolated{0, 3};
-  EXPECT_THROW((void)fs.run_from(isolated, rng), std::invalid_argument);
+  const FrontierCursor::Config cfg{.dimension = 2, .steps = 10};
+  EXPECT_THROW((FrontierCursor(g, cfg, {0}, rng)), std::invalid_argument);
+  EXPECT_THROW((FrontierCursor(g, cfg, {0, 3}, rng)), std::invalid_argument);
   const std::vector<VertexId> ok{0, 2};
-  const SampleRecord rec = fs.run_from(ok, rng);
+  FrontierCursor fs(g, cfg, ok, rng);
+  const SampleRecord rec = drain_cursor(fs);
   EXPECT_EQ(rec.starts, ok);
   EXPECT_EQ(rec.edges.size(), 10u);
 }

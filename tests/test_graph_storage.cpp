@@ -1,8 +1,9 @@
 // GraphStorage backends: owned-vs-mmap equivalence, v1 -> v2 migration,
 // storage sharing across Graph copies, the codegree memo shared by
 // concurrent crawls, the walks' hop table (its entries, its threshold and
-// its one build under concurrent first use), and the parallel ingestion
-// helpers.
+// its one build under concurrent first use), the degree alias table of
+// degree-proportional starts (its law and its one build under concurrent
+// first use), and the parallel ingestion helpers.
 #include "graph/storage.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "sampling/walk.hpp"
 #include "stream/spec.hpp"
 
 namespace frontier {
@@ -318,6 +320,57 @@ TEST(GraphStorage, OneHopTableForCopiesAndConcurrentFirstUsers) {
   const Graph other = deep_copy(g);
   EXPECT_NE(other.hop_table().data(), seen[0]);
   expect_hops_match_csr(other);
+}
+
+/// Threads that draw a degree-proportional start at the same moment,
+/// through their own copies of one Graph, share one degree alias table and
+/// draw the same start from the same seed. The table follows deg(v) /
+/// vol(V); a graph over a copy of the arrays, and a mapped snapshot, each
+/// have a table of their own.
+TEST(GraphStorage, OneDegreeTableForCopiesAndConcurrentFirstUsers) {
+  const Graph g = make_test_graph(24);
+  constexpr std::size_t kThreads = 4;
+  std::vector<const AliasTable*> seen(kThreads, nullptr);
+  std::vector<VertexId> drawn(kThreads, kInvalidVertex);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const Graph copy = g;
+      start.arrive_and_wait();
+      Rng rng(7);
+      drawn[t] =
+          StartSampler(copy, StartMode::kDegreeProportional).sample(rng);
+      seen[t] = &copy.degree_table();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]);
+    EXPECT_EQ(drawn[t], drawn[0]);
+  }
+  EXPECT_EQ(&g.degree_table(), seen[0]);
+  const auto expect_degree_law = [](const Graph& h) {
+    const AliasTable& table = h.degree_table();
+    ASSERT_EQ(table.size(), h.num_vertices());
+    for (VertexId v = 0; v < h.num_vertices(); ++v) {
+      EXPECT_DOUBLE_EQ(table.probability(v),
+                       static_cast<double>(h.degree(v)) /
+                           static_cast<double>(h.volume()))
+          << "vertex " << v;
+    }
+  };
+  expect_degree_law(g);
+
+  const Graph other = deep_copy(g);
+  EXPECT_NE(&other.degree_table(), seen[0]);
+  expect_degree_law(other);
+
+  const std::string path = ::testing::TempDir() + "storage_degrees.bin";
+  write_binary_file(g, path);
+  const Graph mapped = read_binary_file(path);
+  expect_degree_law(mapped);
+  std::filesystem::remove(path);
 }
 
 /// Four threads start FS and SingleRW crawls of one fresh above-threshold

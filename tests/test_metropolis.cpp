@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 namespace {
@@ -16,6 +19,21 @@ TEST(MetropolisHastings, VisitCountIncludesStart) {
   const SampleRecord rec = mh.run(rng);
   EXPECT_EQ(rec.vertices.size(), 101u);
   EXPECT_EQ(rec.vertices.front(), rec.starts.front());
+}
+
+TEST(MetropolisHastings, RejectsIsolatedOrOutOfRangeFixedStart) {
+  GraphBuilder b(4);
+  b.add_undirected_edge(0, 1);
+  b.add_undirected_edge(1, 2);  // vertex 3 isolated
+  const Graph g = b.build();
+  // A walk from an isolated vertex has no neighbour to propose.
+  const MetropolisHastingsWalk::Config isolated{.steps = 5,
+                                                .fixed_start = VertexId{3}};
+  EXPECT_THROW(MetropolisHastingsWalk(g, isolated), std::invalid_argument);
+  EXPECT_THROW(MetropolisCursor(g, isolated, Rng(1)), std::invalid_argument);
+  EXPECT_THROW(MetropolisHastingsWalk(
+                   g, {.steps = 5, .fixed_start = VertexId{4}}),
+               std::out_of_range);
 }
 
 TEST(MetropolisHastings, RejectionsKeepPosition) {

@@ -1,11 +1,13 @@
 // RandomWalkWithJumps: configuration, budget accounting and jumps.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sampling/random_walk_with_jumps.hpp"
+#include "stream/sampler_cursors.hpp"
 
 namespace frontier {
 namespace {
@@ -18,6 +20,34 @@ TEST(RandomWalkWithJumps, ValidatesConfig) {
   EXPECT_THROW(RandomWalkWithJumps(
                    g, {.budget = 10, .cost = {.hit_ratio = 0.0}}),
                std::invalid_argument);
+}
+
+// A NaN or infinite budget is never exceeded, and a jump that costs
+// nothing (or NaN) never spends it, so with every query a jump the crawl
+// would never end. Both are rejected before a cursor runs.
+TEST(RandomWalkWithJumps, RejectsBudgetOrJumpCostThatNeverEnds) {
+  const Graph g = cycle_graph(4);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double budget : {kNan, kInf, -kInf}) {
+    const RandomWalkWithJumps::Config cfg{.budget = budget};
+    EXPECT_THROW(RandomWalkWithJumps(g, cfg), std::invalid_argument)
+        << budget;
+    EXPECT_THROW(RwjCursor(g, cfg, Rng(1)), std::invalid_argument) << budget;
+  }
+  for (const double jump_cost : {kNan, kInf, 0.0, -1.0}) {
+    const RandomWalkWithJumps::Config cfg{
+        .budget = 10.0,
+        .jump_probability = 1.0,
+        .cost = {.jump_cost = jump_cost}};
+    EXPECT_THROW(RandomWalkWithJumps(g, cfg), std::invalid_argument)
+        << jump_cost;
+    EXPECT_THROW(RwjCursor(g, cfg, Rng(1)), std::invalid_argument)
+        << jump_cost;
+  }
+  // A negative finite budget stays legal: the run is empty.
+  Rng rng(1);
+  EXPECT_TRUE(RandomWalkWithJumps(g, {.budget = -1.0}).run(rng).edges.empty());
 }
 
 TEST(RandomWalkWithJumps, ZeroJumpProbabilityIsPlainWalk) {

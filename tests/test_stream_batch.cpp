@@ -91,6 +91,13 @@ std::vector<EventRec> collect_batched(SamplerCursor& cursor, std::size_t k) {
   return out;
 }
 
+/// Appends x to `bytes` as `width` little-endian bytes.
+void put_le(std::string& bytes, std::uint64_t x, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes.push_back(static_cast<char>((x >> (8 * i)) & 0xff));
+  }
+}
+
 /// CRC-64 over a canonical little-endian encoding of a drained cursor:
 /// per row a flag byte plus its flagged payload (u and v for an edge, the
 /// vertex for a vertex), then the starts, the bit pattern of the cost and
@@ -99,9 +106,7 @@ std::uint64_t digest_of(const std::vector<EventRec>& events,
                         const SamplerCursor& cursor) {
   std::string bytes;
   const auto put = [&bytes](std::uint64_t x, int width) {
-    for (int i = 0; i < width; ++i) {
-      bytes.push_back(static_cast<char>((x >> (8 * i)) & 0xff));
-    }
+    put_le(bytes, x, width);
   };
   for (const EventRec& rec : events) {
     put((rec.has_edge ? 1u : 0u) | (rec.has_vertex ? 2u : 0u), 1);
@@ -148,7 +153,7 @@ TEST(StreamBatch, FrontierLinearScanAllBatchSizes) {
         g,
         FrontierSampler::Config{
             .dimension = 6, .steps = 3000,
-            .selection = FrontierSampler::Selection::kLinearScan},
+            .selection = FrontierCursor::Selection::kLinearScan},
         Rng(8));
   });
 }
@@ -245,7 +250,7 @@ TEST(StreamBatch, LargeGraphFrontierLinearScan) {
         g,
         FrontierSampler::Config{
             .dimension = 12, .steps = 20000,
-            .selection = FrontierSampler::Selection::kLinearScan},
+            .selection = FrontierCursor::Selection::kLinearScan},
         Rng(62));
   });
 }
@@ -294,6 +299,99 @@ TEST(StreamBatch, LargeGraphMetropolis) {
     return std::make_unique<MetropolisCursor>(
         g, MetropolisHastingsWalk::Config{.steps = 20000}, Rng(67));
   });
+}
+
+// --------------------------------------------- degree-proportional starts
+
+// The same configs drive the samplers' run_into and bare cursors, both
+// drawing starts from the graph's degree alias table.
+const FrontierSampler::Config kDegreeFs{
+    .dimension = 8, .steps = 2000, .start = StartMode::kDegreeProportional};
+const SingleRandomWalk::Config kDegreeSrw{
+    .steps = 2000, .start = StartMode::kDegreeProportional};
+const MultipleRandomWalks::Config kDegreeMrw{
+    .num_walkers = 7,
+    .steps_per_walker = 150,
+    .start = StartMode::kDegreeProportional};
+const MetropolisHastingsWalk::Config kDegreeMh{
+    .steps = 2000, .start = StartMode::kDegreeProportional};
+
+/// Appends a drained record and the caller's RNG state after the run:
+/// edges, vertices and starts (each length-prefixed), the cost's bit
+/// pattern, then the four RNG words.
+void put_record(std::string& bytes, const SampleRecord& rec, const Rng& rng) {
+  put_le(bytes, rec.edges.size(), 8);
+  for (const Edge& e : rec.edges) {
+    put_le(bytes, e.u, 4);
+    put_le(bytes, e.v, 4);
+  }
+  put_le(bytes, rec.vertices.size(), 8);
+  for (const VertexId v : rec.vertices) put_le(bytes, v, 4);
+  put_le(bytes, rec.starts.size(), 8);
+  for (const VertexId s : rec.starts) put_le(bytes, s, 4);
+  put_le(bytes, std::bit_cast<std::uint64_t>(rec.cost), 8);
+  for (const std::uint64_t word : rng.state()) put_le(bytes, word, 8);
+}
+
+/// CRC-64 of three consecutive run_into calls through one sampler, one
+/// reused arena and one caller RNG seeded with `seed`.
+template <typename Sampler>
+std::uint64_t run_into_digest(const Sampler& sampler, std::uint64_t seed) {
+  SampleArena arena;
+  Rng rng(seed);
+  std::string bytes;
+  for (int run = 0; run < 3; ++run) {
+    put_record(bytes, sampler.run_into(arena, rng), rng);
+  }
+  return crc64(bytes.data(), bytes.size());
+}
+
+/// Pins the degree-proportional start path, which no other golden covers.
+/// The digests were recorded before the alias table moved from each
+/// sampler into the graph's storage.
+TEST(StreamBatch, DegreeProportionalRunIntoGoldens) {
+  const Graph g = test_graph();
+  EXPECT_EQ(run_into_digest(FrontierSampler(g, kDegreeFs), 71),
+            0x87298fbc2f1d16baULL);
+  EXPECT_EQ(run_into_digest(SingleRandomWalk(g, kDegreeSrw), 72),
+            0x2faf8104303fab14ULL);
+  EXPECT_EQ(run_into_digest(MultipleRandomWalks(g, kDegreeMrw), 73),
+            0x276c50f7251fd4d5ULL);
+  EXPECT_EQ(run_into_digest(MetropolisHastingsWalk(g, kDegreeMh), 74),
+            0xe49c3573b81f3b20ULL);
+}
+
+TEST(StreamBatch, DegreeProportionalCursorGoldens) {
+  const Graph g = test_graph();
+  check_golden(2000, 0xe548f4aad79884acULL, [&] {
+    return std::make_unique<FrontierCursor>(g, kDegreeFs, Rng(71));
+  });
+  check_golden(2000, 0x8f4180dccd47b763ULL, [&] {
+    return std::make_unique<SingleRwCursor>(g, kDegreeSrw, Rng(72));
+  });
+  check_golden(1057, 0x3d018d32f3e4e9aaULL, [&] {
+    return std::make_unique<MultipleRwCursor>(g, kDegreeMrw, Rng(73));
+  });
+  check_golden(2001, 0x14a54c5e2c490af7ULL, [&] {
+    return std::make_unique<MetropolisCursor>(g, kDegreeMh, Rng(74));
+  });
+}
+
+/// FS from an explicit frontier drawn as Figures 6 and 9 draw it: uniform
+/// starts from one stream, the walk on a split stream. The digest was
+/// recorded from the FrontierSampler::run_from that this drain replaced.
+TEST(StreamBatch, FrontierRunFromGolden) {
+  const Graph g = test_graph();
+  Rng rng(81);
+  const StartSampler starts(g, StartMode::kUniform);
+  std::vector<VertexId> init(10);
+  for (VertexId& v : init) v = starts.sample(rng);
+  const FrontierCursor::Config cfg{.dimension = 10, .steps = 3000};
+  FrontierCursor fs(g, cfg, init, rng.split_stream(1));
+  const SampleRecord rec = drain_cursor(fs, cfg.reserve());
+  std::string bytes;
+  put_record(bytes, rec, fs.rng());
+  EXPECT_EQ(crc64(bytes.data(), bytes.size()), 0x5b5eaaa74323f6e6ULL);
 }
 
 // ------------------------------------------------------------------ sinks

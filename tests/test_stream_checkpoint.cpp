@@ -121,7 +121,7 @@ void check_roundtrip(const Graph& g, MakeCursor make_cursor,
 
 TEST(StreamCheckpoint, FrontierRoundtrip) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 6, .steps = 5000};
+  const FrontierCursor::Config cfg{.dimension = 6, .steps = 5000};
   check_roundtrip(
       g,
       [&](std::uint64_t seed) {
@@ -132,9 +132,9 @@ TEST(StreamCheckpoint, FrontierRoundtrip) {
 
 TEST(StreamCheckpoint, FrontierLinearScanRoundtrip) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{
+  const FrontierCursor::Config cfg{
       .dimension = 4, .steps = 3000,
-      .selection = FrontierSampler::Selection::kLinearScan};
+      .selection = FrontierCursor::Selection::kLinearScan};
   check_roundtrip(
       g,
       [&](std::uint64_t seed) {
@@ -145,7 +145,7 @@ TEST(StreamCheckpoint, FrontierLinearScanRoundtrip) {
 
 TEST(StreamCheckpoint, SingleRwRoundtrip) {
   const Graph g = test_graph();
-  const SingleRandomWalk::Config cfg{
+  const SingleRwCursor::Config cfg{
       .steps = 4000, .burn_in = 300, .laziness = 0.2};
   check_roundtrip(
       g,
@@ -157,8 +157,8 @@ TEST(StreamCheckpoint, SingleRwRoundtrip) {
 
 TEST(StreamCheckpoint, MultipleRwRoundtrip) {
   const Graph g = test_graph();
-  const MultipleRandomWalks::Config cfg{.num_walkers = 5,
-                                        .steps_per_walker = 800};
+  const MultipleRwCursor::Config cfg{.num_walkers = 5,
+                                     .steps_per_walker = 800};
   check_roundtrip(
       g,
       [&](std::uint64_t seed) {
@@ -169,7 +169,7 @@ TEST(StreamCheckpoint, MultipleRwRoundtrip) {
 
 TEST(StreamCheckpoint, RandomWalkWithJumpsRoundtrip) {
   const Graph g = test_graph();
-  const RandomWalkWithJumps::Config cfg{
+  const RwjCursor::Config cfg{
       .budget = 4000.0,
       .jump_probability = 0.1,
       .cost = {.jump_cost = 1.5, .hit_ratio = 0.8}};
@@ -183,7 +183,7 @@ TEST(StreamCheckpoint, RandomWalkWithJumpsRoundtrip) {
 
 TEST(StreamCheckpoint, MetropolisRoundtrip) {
   const Graph g = test_graph();
-  const MetropolisHastingsWalk::Config cfg{.steps = 4000};
+  const MetropolisCursor::Config cfg{.steps = 4000};
   check_roundtrip(
       g,
       [&](std::uint64_t seed) {
@@ -194,7 +194,7 @@ TEST(StreamCheckpoint, MetropolisRoundtrip) {
 
 TEST(StreamCheckpoint, FileRoundtrip) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 3, .steps = 1000};
+  const FrontierCursor::Config cfg{.dimension = 3, .steps = 1000};
   StreamEngine first(std::make_unique<FrontierCursor>(g, cfg, Rng(3)),
                      make_sinks(g));
   first.pump(400);
@@ -213,7 +213,7 @@ TEST(StreamCheckpoint, FileRoundtrip) {
 TEST(StreamCheckpoint, RejectsWrongCursorKind) {
   const Graph g = test_graph();
   StreamEngine fs(std::make_unique<FrontierCursor>(
-                      g, FrontierSampler::Config{.dimension = 2, .steps = 100},
+                      g, FrontierCursor::Config{.dimension = 2, .steps = 100},
                       Rng(5)),
                   make_sinks(g));
   fs.pump(10);
@@ -221,14 +221,14 @@ TEST(StreamCheckpoint, RejectsWrongCursorKind) {
   fs.save_checkpoint(ckpt);
 
   StreamEngine mh(std::make_unique<MetropolisCursor>(
-                      g, MetropolisHastingsWalk::Config{.steps = 100}, Rng(5)),
+                      g, MetropolisCursor::Config{.steps = 100}, Rng(5)),
                   make_sinks(g));
   EXPECT_THROW(mh.load_checkpoint(ckpt), IoError);
 }
 
 TEST(StreamCheckpoint, RejectsDifferentGraph) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 4, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 4, .steps = 100};
   StreamEngine a(std::make_unique<FrontierCursor>(g, cfg, Rng(6)),
                  make_sinks(g));
   a.pump(10);
@@ -244,14 +244,14 @@ TEST(StreamCheckpoint, RejectsDifferentGraph) {
 
 TEST(StreamCheckpoint, RejectsConfigMismatch) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 4, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 4, .steps = 100};
   StreamEngine a(std::make_unique<FrontierCursor>(g, cfg, Rng(6)),
                  make_sinks(g));
   a.pump(10);
   std::stringstream ckpt;
   a.save_checkpoint(ckpt);
 
-  const FrontierSampler::Config other{.dimension = 8, .steps = 100};
+  const FrontierCursor::Config other{.dimension = 8, .steps = 100};
   StreamEngine b(std::make_unique<FrontierCursor>(g, other, Rng(6)),
                  make_sinks(g));
   EXPECT_THROW(b.load_checkpoint(ckpt), IoError);
@@ -275,8 +275,8 @@ std::string patch_multiple_rw(const std::string& blob,
 
 TEST(StreamCheckpoint, RejectsInconsistentMultipleRwCounters) {
   const Graph g = test_graph();
-  const MultipleRandomWalks::Config cfg{.num_walkers = 4,
-                                        .steps_per_walker = 10};
+  const MultipleRwCursor::Config cfg{.num_walkers = 4,
+                                     .steps_per_walker = 10};
   // 15 queries: walker 0's start and 10 steps, then walker 1's start and
   // 3 steps, so the real counters are walker_ = 1, step_ = 3.
   MultipleRwCursor paused(g, cfg, Rng(9));
@@ -356,7 +356,7 @@ TEST(StreamCheckpoint, RejectsCorruptStarts) {
     EXPECT_NO_THROW(fresh->load_state(is)) << label;
   };
 
-  const FrontierSampler::Config fs_cfg{.dimension = 3, .steps = 100};
+  const FrontierCursor::Config fs_cfg{.dimension = 3, .steps = 100};
   FrontierCursor fs(g, fs_cfg, Rng(1));
   // FS: scan_total and the RNG state follow the starts.
   check(
@@ -365,14 +365,14 @@ TEST(StreamCheckpoint, RejectsCorruptStarts) {
       8 + 32,
       {{}, {1, 2}, {1, 2, 3, 4}, {1, 2, n}, {0xffffffffu, 1, 2}});
 
-  const SingleRandomWalk::Config srw_cfg{.steps = 100};
+  const SingleRwCursor::Config srw_cfg{.steps = 100};
   SingleRwCursor srw(g, srw_cfg, Rng(3));
   check(
       "srw", srw,
       [&] { return std::make_unique<SingleRwCursor>(g, srw_cfg, Rng(4)); },
       32, {{}, {1, 2}, {n}});
 
-  const MetropolisHastingsWalk::Config mh_cfg{.steps = 100};
+  const MetropolisCursor::Config mh_cfg{.steps = 100};
   MetropolisCursor mh(g, mh_cfg, Rng(5));
   check(
       "mh", mh,
@@ -380,8 +380,8 @@ TEST(StreamCheckpoint, RejectsCorruptStarts) {
       32, {{}, {1, 2}, {n}});
 
   // RWJ: v, the pending vertex, the cost, done and the RNG state follow.
-  const RandomWalkWithJumps::Config rwj_cfg{.budget = 100.0,
-                                            .jump_probability = 0.2};
+  const RwjCursor::Config rwj_cfg{.budget = 100.0,
+                                  .jump_probability = 0.2};
   RwjCursor rwj(g, rwj_cfg, Rng(7));
   check(
       "rwj", rwj,
@@ -391,8 +391,8 @@ TEST(StreamCheckpoint, RejectsCorruptStarts) {
 
 TEST(StreamCheckpoint, RejectsCorruptRwjCost) {
   const Graph g = test_graph();
-  const RandomWalkWithJumps::Config cfg{.budget = 100.0,
-                                        .jump_probability = 0.1};
+  const RwjCursor::Config cfg{.budget = 100.0,
+                              .jump_probability = 0.1};
   RwjCursor cursor(g, cfg, Rng(9));
   StreamEventBlock block(20);
   (void)cursor.next_batch(block, 20);
@@ -415,7 +415,7 @@ TEST(StreamCheckpoint, RejectsCorruptRwjCost) {
 
 TEST(StreamCheckpoint, RejectsSinkMismatch) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 2, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 2, .steps = 100};
   StreamEngine a(std::make_unique<FrontierCursor>(g, cfg, Rng(7)),
                  make_sinks(g));
   a.pump(10);
@@ -431,7 +431,7 @@ TEST(StreamCheckpoint, RejectsSinkMismatch) {
 
 TEST(StreamCheckpoint, RejectsTruncatedStream) {
   const Graph g = test_graph();
-  const FrontierSampler::Config cfg{.dimension = 2, .steps = 100};
+  const FrontierCursor::Config cfg{.dimension = 2, .steps = 100};
   StreamEngine a(std::make_unique<FrontierCursor>(g, cfg, Rng(8)),
                  make_sinks(g));
   a.pump(10);

@@ -82,7 +82,7 @@ TEST(StreamCursors, FrontierMatchesBatchLinearScan) {
   const Graph g = test_graph();
   const FrontierSampler fs(
       g, {.dimension = 6, .steps = 3000,
-          .selection = FrontierSampler::Selection::kLinearScan});
+          .selection = FrontierCursor::Selection::kLinearScan});
   Rng batch_rng(8);
   Rng stream_rng(8);
   const SampleRecord batch = fs.run(batch_rng);
@@ -94,12 +94,11 @@ TEST(StreamCursors, FrontierMatchesBatchLinearScan) {
 
 TEST(StreamCursors, FrontierRunFromMatchesExplicitFrontier) {
   const Graph g = test_graph();
-  const FrontierSampler fs(g, {.dimension = 4, .steps = 1000});
+  const FrontierCursor::Config cfg{.dimension = 4, .steps = 1000};
   const std::vector<VertexId> starts{1, 5, 9, 13};
-  Rng batch_rng(9);
-  Rng stream_rng(9);
-  const SampleRecord batch = fs.run_from(starts, batch_rng);
-  FrontierCursor cursor(g, fs.config(), starts, stream_rng);
+  FrontierCursor drained(g, cfg, starts, Rng(9));
+  const SampleRecord batch = drain_cursor(drained, cfg.reserve());
+  FrontierCursor cursor(g, cfg, starts, Rng(9));
   const SampleRecord streamed = collect(cursor);
   expect_identical(batch, streamed);
   EXPECT_EQ(streamed.starts, starts);
@@ -235,7 +234,7 @@ TEST(StreamCursors, DrainCursorMatchesManualCollection) {
   FrontierCursor a(g, fs.config(), Rng(21));
   FrontierCursor b(g, fs.config(), Rng(21));
   const SampleRecord manual = collect(a);
-  const SampleRecord drained = drain_cursor(b, fs.config().steps);
+  const SampleRecord drained = drain_cursor(b, fs.config().reserve());
   expect_identical(manual, drained);
 }
 
